@@ -62,15 +62,6 @@ class CountyPolygon:
             raise ValueError("ring closure is implicit; drop the repeated vertex")
 
 
-def haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in meters between two lat/lon points."""
-    phi1, lam1, phi2, lam2 = map(math.radians, (lat1, lon1, lat2, lon2))
-    dphi = phi2 - phi1
-    dlam = lam2 - lam1
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
-    return EARTH_RADIUS_M * 2 * math.atan2(math.sqrt(a), math.sqrt(1 - a))
-
-
 def _project_local(ring, lat0: float, lon0: float) -> list[tuple[float, float]]:
     """Equirectangular projection (meters) about a reference point."""
     cos0 = math.cos(math.radians(lat0))

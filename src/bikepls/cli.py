@@ -8,12 +8,11 @@ a CLI flag of the same name.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import csv
 import datetime as dt
 import json
 import sys
-from dataclasses import dataclass, field, fields
-from importlib import resources
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import catchment, frames, ingest, plsr, reproduce
@@ -22,9 +21,7 @@ from .errors import (
     CacheCorrupt,
     MissingCounty,
     NetworkError,
-    NoConvergence,
     SingularProjection,
-    ZeroResidual,
 )
 from .report import (
     ReportBundle,
@@ -38,7 +35,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
-_INTERNAL_ERRORS = (NetworkError, NoConvergence, ZeroResidual, SingularProjection, CacheCorrupt)
+_INTERNAL_ERRORS = (NetworkError, SingularProjection, CacheCorrupt)
 
 
 @dataclass
@@ -48,7 +45,6 @@ class RunConfig:
     schedule: str | None = None
     radius_m: float = catchment.DEFAULT_RADIUS_M
     components: int = 3
-    tolerance: float = plsr.DEFAULT_TOL
     standardize_y: bool = False
     input: str | None = None
     transport: str = "fixtures"
@@ -71,8 +67,6 @@ class RunConfig:
     def __post_init__(self):
         if self.components < 1:
             raise ValueError("components must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.transport not in ("live", "fixtures"):
             raise ValueError(f"unknown transport {self.transport!r}")
 
@@ -251,9 +245,10 @@ def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
         frames.TransitionTable(rates).to_csv_text()
     )
     if errors:
-        lines = ["station_id,error,message"]
-        lines += [f"{sid},{kind},{msg}" for sid, kind, msg in sorted(errors)]
-        (out_dir / "derive_errors.csv").write_text("\n".join(lines) + "\n")
+        with open(out_dir / "derive_errors.csv", "w", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(["station_id", "error", "message"])
+            writer.writerows(sorted(errors))
         for sid, kind, msg in sorted(errors):
             print(f"{sid},{kind},{msg}", file=sys.stderr)
     summary = {"profiles": len(profiles), "transitions": len(rates), "errors": len(errors)}
@@ -263,15 +258,11 @@ def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
     return EXIT_INVALID if errors else EXIT_OK
 
 
-def _bundled_table_text() -> str:
-    return resources.files("bikepls.data").joinpath("table1.csv").read_text()
-
-
 def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
-    text = _read(cfg.input, "input table") if cfg.input else _bundled_table_text()
+    text = _read(cfg.input, "input table") if cfg.input else reproduce.load_bundled_table()
     frame_map = frames.frames_from_analysis_table(text, cfg.standardize_y)
     fitted = {
-        label: (frame, plsr.fit(frame, cfg.components, tol=cfg.tolerance))
+        label: (frame, plsr.fit(frame, cfg.components))
         for label, frame in frame_map.items()
     }
     bundle = ReportBundle(fitted)
@@ -309,7 +300,7 @@ def cmd_report(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
 
 def cmd_reproduce(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
-    result = reproduce.run_reproduction(components=cfg.components, tol=cfg.tolerance)
+    result = reproduce.run_reproduction(components=cfg.components)
     write_documents(reproduce.render_reproduction_documents(result), out_dir)
     if as_json:
         print(result.to_json())

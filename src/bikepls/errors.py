@@ -33,14 +33,6 @@ class ZeroFemale(BikeplsError):
 
 # --- regression ---
 
-class NoConvergence(BikeplsError):
-    """The score iteration did not converge within the iteration budget."""
-
-
-class ZeroResidual(BikeplsError):
-    """A residual matrix is numerically zero; no further factor exists."""
-
-
 class TooManyComponents(BikeplsError):
     """More latent factors requested than the data can support."""
 

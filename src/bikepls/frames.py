@@ -124,9 +124,6 @@ class PeriodSchedule:
             }
         )
 
-    def labels(self) -> tuple[str, ...]:
-        return PERIOD_LABELS
-
 
 @dataclass(frozen=True)
 class TransitionTable:

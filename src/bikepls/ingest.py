@@ -16,7 +16,7 @@ import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -36,7 +36,6 @@ class SourceConfig:
     """Where counts and census tables come from, and how to cache them."""
 
     counts_url_template: str
-    census_table_paths: Mapping[str, str] = field(default_factory=dict)
     cache_dir: str = ".bikepls-cache"
     timeout_s: float = 30.0
     retries: int = 2
@@ -79,22 +78,6 @@ class FixtureTransport:
         if url not in self.responses:
             raise NetworkError(f"no fixture recorded for {url}")
         return self.responses[url]
-
-
-class RecordingTransport:
-    """Wraps a transport and counts the requests that reach it."""
-
-    def __init__(self, inner: Transport):
-        self.inner = inner
-        self.requests: list[str] = []
-
-    def get(self, url: str) -> bytes:
-        self.requests.append(url)
-        return self.inner.get(url)
-
-    @property
-    def call_count(self) -> int:
-        return len(self.requests)
 
 
 class ResponseCache:

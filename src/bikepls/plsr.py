@@ -1,10 +1,12 @@
-"""Latent-factor regression fitted by alternating score iteration.
+"""Single-response latent-factor regression (PLS1) in closed form.
 
-One factor at a time, the iteration finds the predictor direction with
-maximal covariance to the response, then removes the fitted rank-1 term
-from the residuals before extracting the next factor. All diagnostics the
-reporting layer needs (variance shares, weights, loadings, importance
-scores, coefficients) are derived from the fitted state here.
+One factor at a time, the predictor direction with maximal covariance to
+the response residual is ``w ∝ Eᵀf``; the fitted rank-1 term is then
+removed from both residuals before the next factor is extracted. With one
+response column no inner iteration is needed (Dayal & MacGregor, "Improved
+PLS algorithms", J. Chemometrics 11, 1997). All diagnostics the reporting
+layer needs (variance shares, weights, loadings, importance scores,
+coefficients) are derived from the fitted state here.
 
 Conventions
 -----------
@@ -12,44 +14,25 @@ Conventions
   residual; ``x_rotations`` is ``W (PᵀW)⁻¹``, the basis that maps the
   *original* standardized predictors straight to the scores
   (``scores = X @ x_rotations``).
-* The response residual is deflated by regressing it on the predictor
-  score: with a single response column the alternative (removing the
-  response score outright) would zero the residual after one factor and
-  no further factors could be extracted.
-* Component signs are canonicalized so the response direction is
-  positive; every diagnostic is invariant to joint sign flips anyway.
+* The response residual is deflated by its regression on the predictor
+  score, ``f −= c t``. The response direction is the unit scalar, and
+  ``fᵀt = ‖Eᵀf‖ > 0`` fixes every factor's sign.
+* The model keeps nothing with one entry per sample: the per-factor sum
+  of squared scores and the sample count carry what the diagnostics need.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NoConvergence,
-    ShapeMismatch,
-    SingularProjection,
-    TooManyComponents,
-    ZeroResidual,
-)
+from .errors import ShapeMismatch, SingularProjection, TooManyComponents
 from .frames import AnalysisFrame
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 500
 _RESIDUAL_FLOOR = 1e-12
-
-
-class Component(NamedTuple):
-    """One extracted factor: scores, loadings and weight directions."""
-
-    t: np.ndarray  # predictor score (n,)
-    u: np.ndarray  # response score (n,)
-    p: np.ndarray  # predictor loading (J,)
-    q: np.ndarray  # unit response direction (m,)
-    w: np.ndarray  # unit predictor weight (J,)
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -87,146 +70,87 @@ class CoefficientVector:
 
 @dataclass(frozen=True)
 class PlsModel:
-    """Fitted state: scores, loadings, weights, residuals and constants.
+    """Fitted state: weights, loadings, per-factor score sums and constants.
 
     ``n_components`` is the number of factors actually extracted, which can
-    fall short of the request when a residual matrix hits zero first.
+    fall short of the request when a residual reaches zero first. Every
+    array has a predictor or factor axis only, so a model's size does not
+    grow with ``n_samples``.
     """
 
     x_weights: np.ndarray  # (J, A) unit per-residual weights
     x_rotations: np.ndarray  # (J, A), scores = X @ x_rotations
     x_loadings: np.ndarray  # (J, A)
-    x_scores: np.ndarray  # (n, A)
-    y_scores: np.ndarray  # (n, A)
-    y_weights: np.ndarray  # (m, A) unit response directions
-    y_loadings: np.ndarray  # (m, A) regression loadings on the x-scores
-    x_residual: np.ndarray  # (n, J)
-    y_residual: np.ndarray  # (n, m)
+    y_loadings: np.ndarray  # (A,) regression loadings on the x-scores
+    score_ss: np.ndarray  # (A,) sum of squared x-scores per factor
     x_means: np.ndarray  # raw-scale column means of the predictors
     x_stds: np.ndarray  # raw-scale population stds of the predictors
     y_mean: float
     x_total_ss: float
     y_total_ss: float
+    n_samples: int
     n_components: int
     requested_components: int
-    tol: float
-    max_iter: int
     predictor_names: tuple[str, ...]
-    station_ids: tuple[str, ...]
     transition: str
 
     def __post_init__(self):
-        for name in (
-            "x_weights", "x_rotations", "x_loadings", "x_scores", "y_scores",
-            "y_weights", "y_loadings", "x_residual", "y_residual",
-            "x_means", "x_stds",
-        ):
+        for name in _MATRIX_FIELDS:
             getattr(self, name).setflags(write=False)
 
     @property
-    def n_samples(self) -> int:
-        return self.x_scores.shape[0] if self.x_scores.size else self.x_residual.shape[0]
-
-    @property
     def n_predictors(self) -> int:
-        return self.x_residual.shape[1]
+        return self.x_weights.shape[0]
 
 
-def nipals_component(
-    E: np.ndarray,
-    F: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Component:
-    """Extract one factor from the residual pair (E, F).
+def extract_factors(
+    x: np.ndarray, f: np.ndarray, n_components: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Extract up to ``n_components`` factors from predictors ``x`` and the
+    centered response ``f``.
 
-    Alternates ``w = Eᵀu/‖Eᵀu‖``, ``t = Ew``, ``q = Fᵀt/‖Fᵀt‖``,
-    ``u = Fq`` until the change in ``t`` has norm at most ``tol``; the
-    loading ``p = Eᵀt/(tᵀt)`` is computed after convergence. With a single
-    response column the update map is stationary after the first pass.
+    Per factor: ``w = Eᵀf/‖Eᵀf‖``, ``t = Ew``, ``p = Eᵀt/tᵀt``,
+    ``c = fᵀt/tᵀt``, then ``E −= t pᵀ`` and ``f −= c t``. Extraction stops
+    early once ``‖E‖``, ``‖f‖`` or ``‖Eᵀf‖`` is numerically zero.
 
-    Raises
-    ------
-    ZeroResidual
-        If either residual matrix is numerically zero.
-    NoConvergence
-        If ``max_iter`` passes elapse with the score still moving.
+    Returns ``(W, T, P, C, E)``: weights (J, A), scores (n, A), loadings
+    (J, A), response loadings (A,) and the final predictor residual (n, J),
+    where A is the number of factors actually extracted.
     """
-    E = np.asarray(E, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if F.ndim == 1:
-        F = F.reshape(-1, 1)
-    if np.linalg.norm(E) <= _RESIDUAL_FLOOR:
-        raise ZeroResidual("predictor residual is numerically zero")
-    if np.linalg.norm(F) <= _RESIDUAL_FLOOR:
-        raise ZeroResidual("response residual is numerically zero")
-
-    u = F[:, 0].copy()
-    t_prev = None
-    for _ in range(max_iter):
-        w = E.T @ u
+    E = np.array(x, dtype=float)
+    f = np.array(f, dtype=float)
+    n, J = E.shape
+    ws, ts, ps, cs = [], [], [], []
+    for _ in range(n_components):
+        if np.linalg.norm(E) <= _RESIDUAL_FLOOR or np.linalg.norm(f) <= _RESIDUAL_FLOOR:
+            break
+        w = E.T @ f
         w_norm = np.linalg.norm(w)
         if w_norm <= _RESIDUAL_FLOOR:
-            raise ZeroResidual("weight direction collapsed to zero")
+            break
         w /= w_norm
         t = E @ w
-        q = F.T @ t
-        q_norm = np.linalg.norm(q)
-        if q_norm <= _RESIDUAL_FLOOR:
-            raise ZeroResidual("response direction collapsed to zero")
-        q /= q_norm
-        u = F @ q
-        if F.shape[1] == 1:
-            break
-        if t_prev is not None and np.linalg.norm(t - t_prev) <= tol:
-            break
-        t_prev = t
-    else:
-        raise NoConvergence(f"score iteration still moving after {max_iter} passes")
-
-    # Canonical sign: make the dominant response-direction entry positive.
-    k = int(np.argmax(np.abs(q)))
-    if q[k] < 0:
-        w, t, q, u = -w, -t, -q, -u
-    p = E.T @ t / (t @ t)
-    return Component(t=t, u=u, p=p, q=q, w=w)
+        tt = t @ t
+        p = E.T @ t / tt
+        c = f @ t / tt
+        E -= np.outer(t, p)
+        f -= c * t
+        ws.append(w)
+        ts.append(t)
+        ps.append(p)
+        cs.append(c)
+    if not ts:
+        return np.zeros((J, 0)), np.zeros((n, 0)), np.zeros((J, 0)), np.zeros(0), E
+    return (np.column_stack(ws), np.column_stack(ts), np.column_stack(ps),
+            np.array(cs), E)
 
 
-def deflate(
-    E: np.ndarray,
-    F: np.ndarray,
-    t: np.ndarray,
-    p: np.ndarray,
-    u: np.ndarray,
-    q: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Remove a fitted factor from both residuals.
-
-    The predictor residual loses its rank-1 reconstruction ``t pᵀ``. The
-    response residual is deflated by its regression on ``t`` so that a
-    single-column response keeps a usable residual for later factors.
-    """
-    E = np.asarray(E, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if F.ndim == 1:
-        F = F.reshape(-1, 1)
-    E_next = E - np.outer(t, p)
-    c = F.T @ t / (t @ t)
-    F_next = F - np.outer(t, c)
-    return E_next, F_next
-
-
-def fit(
-    frame: AnalysisFrame,
-    n_components: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> PlsModel:
+def fit(frame: AnalysisFrame, n_components: int) -> PlsModel:
     """Fit the latent-factor regression on an assembled frame.
 
     The response is centered internally and its mean stored as the
     intercept. Extraction stops early (with the actual count reported)
-    if a residual matrix reaches zero before ``n_components`` factors.
+    if a residual reaches zero before ``n_components`` factors.
 
     Raises
     ------
@@ -243,61 +167,26 @@ def fit(
             f"{n_components} factors requested but at most {limit} exist "
             f"for a {n}x{J} frame"
         )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
-    X = np.array(frame.x, dtype=float)
     y_mean = float(frame.y.mean())
-    E = X.copy()
-    F = (frame.y - y_mean).reshape(-1, 1)
-    x_total_ss = float((X * X).sum())
-    y_total_ss = float((F * F).sum())
-
-    ws, ts, ps, us, qs, cs = [], [], [], [], [], []
-    for _ in range(n_components):
-        try:
-            comp = nipals_component(E, F, tol=tol, max_iter=max_iter)
-        except ZeroResidual:
-            break
-        c = F.T @ comp.t / (comp.t @ comp.t)
-        E, F = deflate(E, F, comp.t, comp.p, comp.u, comp.q)
-        ws.append(comp.w)
-        ts.append(comp.t)
-        ps.append(comp.p)
-        us.append(comp.u)
-        qs.append(comp.q)
-        cs.append(c)
-
-    actual = len(ts)
-    W = np.column_stack(ws) if actual else np.zeros((J, 0))
-    T = np.column_stack(ts) if actual else np.zeros((n, 0))
-    P = np.column_stack(ps) if actual else np.zeros((J, 0))
-    U = np.column_stack(us) if actual else np.zeros((n, 0))
-    Q = np.column_stack(qs) if actual else np.zeros((1, 0))
-    C = np.column_stack(cs) if actual else np.zeros((1, 0))
-    R = _rotations(W, P)
+    f = frame.y - y_mean
+    W, T, P, C, _ = extract_factors(frame.x, f, n_components)
 
     return PlsModel(
         x_weights=W,
-        x_rotations=R,
+        x_rotations=_rotations(W, P),
         x_loadings=P,
-        x_scores=T,
-        y_scores=U,
-        y_weights=Q,
         y_loadings=C,
-        x_residual=E,
-        y_residual=F,
+        score_ss=(T * T).sum(axis=0),
         x_means=np.array(frame.x_source_means, dtype=float),
         x_stds=np.array(frame.x_source_stds, dtype=float),
         y_mean=y_mean,
-        x_total_ss=x_total_ss,
-        y_total_ss=y_total_ss,
-        n_components=actual,
+        x_total_ss=float((frame.x * frame.x).sum()),
+        y_total_ss=float((f * f).sum()),
+        n_samples=n,
+        n_components=W.shape[1],
         requested_components=n_components,
-        tol=tol,
-        max_iter=max_iter,
         predictor_names=frame.predictor_names,
-        station_ids=frame.station_ids,
         transition=frame.transition,
     )
 
@@ -312,11 +201,6 @@ def _rotations(W: np.ndarray, P: np.ndarray) -> np.ndarray:
         raise SingularProjection("loading/weight product is singular") from exc
 
 
-def _score_ss(model: PlsModel) -> np.ndarray:
-    T = model.x_scores
-    return (T * T).sum(axis=0)
-
-
 def _y_share_per_component(model: PlsModel) -> np.ndarray:
     """Share of centered-response variance captured by each factor.
 
@@ -328,8 +212,8 @@ def _y_share_per_component(model: PlsModel) -> np.ndarray:
         return np.zeros(0)
     if model.y_total_ss == 0:
         return np.zeros(model.n_components)
-    c = model.y_loadings  # (m, A)
-    per_factor = (c * c).sum(axis=0) * _score_ss(model)
+    c = model.y_loadings
+    per_factor = c * c * model.score_ss
     return per_factor / model.y_total_ss
 
 
@@ -354,7 +238,7 @@ def variance_explained(model: PlsModel) -> VarianceReport:
         z = np.zeros(0)
         return VarianceReport(z, z, z, z, z)
     P = model.x_loadings
-    x_per_factor = _score_ss(model) * (P * P).sum(axis=0)
+    x_per_factor = model.score_ss * (P * P).sum(axis=0)
     x_shares = x_per_factor / model.x_total_ss
     y_shares = _y_share_per_component(model)
     cum_x = np.cumsum(x_shares)
@@ -397,7 +281,7 @@ def vip_table(model: PlsModel) -> np.ndarray:
 def coefficients(model: PlsModel, a: int | None = None) -> CoefficientVector:
     """Regression coefficients using the first ``a`` factors.
 
-    ``β = W (PᵀW)⁻¹ Qᵀ`` restricted to the leading factors; the intercept
+    ``β = W (PᵀW)⁻¹ c`` restricted to the leading factors; the intercept
     is the stored response mean (predictors are standardized, so their
     means contribute nothing).
     """
@@ -409,14 +293,14 @@ def coefficients(model: PlsModel, a: int | None = None) -> CoefficientVector:
         return CoefficientVector(model.y_mean, np.zeros(model.n_predictors))
     W = model.x_weights[:, :a]
     P = model.x_loadings[:, :a]
-    C = model.y_loadings[:, :a]
+    c = model.y_loadings[:a]
     try:
-        beta = W @ np.linalg.solve(P.T @ W, C.T)
+        beta = W @ np.linalg.solve(P.T @ W, c)
     except np.linalg.LinAlgError as exc:
         raise SingularProjection(
             f"loading/weight projection singular at {a} factors"
         ) from exc
-    return CoefficientVector(model.y_mean, beta[:, 0])
+    return CoefficientVector(model.y_mean, beta)
 
 
 def predict(model: PlsModel, x_new: np.ndarray, a: int | None = None) -> np.ndarray:
@@ -440,8 +324,8 @@ def predict(model: PlsModel, x_new: np.ndarray, a: int | None = None) -> np.ndar
 # --- serialization -----------------------------------------------------------
 
 _MATRIX_FIELDS = (
-    "x_weights", "x_rotations", "x_loadings", "x_scores", "y_scores",
-    "y_weights", "y_loadings", "x_residual", "y_residual", "x_means", "x_stds",
+    "x_weights", "x_rotations", "x_loadings", "y_loadings", "score_ss",
+    "x_means", "x_stds",
 )
 
 
@@ -458,21 +342,30 @@ def matrix_from_doc(obj: dict) -> np.ndarray:
     return data.reshape(tuple(obj["shape"]))
 
 
+def check_document(doc: dict, fmt: str, version: int) -> None:
+    """Reject a parsed document of another format or version."""
+    if doc.get("format") != fmt:
+        raise ValueError(f"not a {fmt} document")
+    if doc.get("version") != version:
+        raise ValueError(
+            f"{fmt} document version {doc.get('version')} is not supported "
+            f"(expected {version}); re-run `analyze` to regenerate it"
+        )
+
+
 def model_to_json(model: PlsModel) -> str:
     """Serialize with decimal strings of 17 significant digits (lossless)."""
-    doc = {"format": "bikepls-model", "version": 1}
+    doc = {"format": "bikepls-model", "version": MODEL_VERSION}
     for name in _MATRIX_FIELDS:
         doc[name] = matrix_to_doc(getattr(model, name))
     doc.update(
         y_mean=f"{model.y_mean:.17g}",
         x_total_ss=f"{model.x_total_ss:.17g}",
         y_total_ss=f"{model.y_total_ss:.17g}",
-        tol=f"{model.tol:.17g}",
-        max_iter=model.max_iter,
+        n_samples=model.n_samples,
         n_components=model.n_components,
         requested_components=model.requested_components,
         predictor_names=list(model.predictor_names),
-        station_ids=list(model.station_ids),
         transition=model.transition,
     )
     return json.dumps(doc, indent=2)
@@ -480,19 +373,16 @@ def model_to_json(model: PlsModel) -> str:
 
 def model_from_json(text: str) -> PlsModel:
     doc = json.loads(text)
-    if doc.get("format") != "bikepls-model":
-        raise ValueError("not a model document")
+    check_document(doc, "bikepls-model", MODEL_VERSION)
     kwargs = {name: matrix_from_doc(doc[name]) for name in _MATRIX_FIELDS}
     return PlsModel(
         **kwargs,
         y_mean=float(doc["y_mean"]),
         x_total_ss=float(doc["x_total_ss"]),
         y_total_ss=float(doc["y_total_ss"]),
+        n_samples=int(doc["n_samples"]),
         n_components=int(doc["n_components"]),
         requested_components=int(doc["requested_components"]),
-        tol=float(doc["tol"]),
-        max_iter=int(doc["max_iter"]),
         predictor_names=tuple(doc["predictor_names"]),
-        station_ids=tuple(doc["station_ids"]),
         transition=doc["transition"],
     )

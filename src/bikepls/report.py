@@ -19,6 +19,7 @@ from .errors import IncompleteBundle
 from .frames import TRANSITION_LABELS, AnalysisFrame
 from .plsr import (
     PlsModel,
+    check_document,
     coefficients,
     matrix_from_doc,
     matrix_to_doc,
@@ -27,6 +28,8 @@ from .plsr import (
     variance_explained,
     vip_table,
 )
+
+BUNDLE_VERSION = 2
 
 TABLE_NAMES = ("variance_explained", "weights", "loadings", "vip", "coefficients")
 
@@ -68,13 +71,13 @@ def _table_rows(frame: AnalysisFrame, model: PlsModel, name: str) -> tuple[list[
         body = [[pname] + [format_cell(v) for v in model.x_rotations[j]]
                 for j, pname in enumerate(frame.predictor_names)]
         body.append(["dependent_variable_weight"]
-                    + [format_cell(v) for v in model.y_loadings[0]])
+                    + [format_cell(v) for v in model.y_loadings])
     elif name == "loadings":
         header = ["variable"] + factor_cols
         body = [[pname] + [format_cell(v) for v in model.x_loadings[j]]
                 for j, pname in enumerate(frame.predictor_names)]
-        body.append(["dependent_variable_loading"]
-                    + [format_cell(v) for v in model.y_weights[0]])
+        # The PLS1 response direction is the unit scalar for every factor.
+        body.append(["dependent_variable_loading"] + [format_cell(1.0)] * A)
     elif name == "vip":
         header = ["variable"] + factor_cols
         table = vip_table(model)
@@ -193,7 +196,7 @@ def _frame_from_doc(doc: dict) -> AnalysisFrame:
 
 
 def bundle_to_json(bundle: ReportBundle) -> str:
-    doc = {"format": "bikepls-analysis", "version": 1, "periods": {}}
+    doc = {"format": "bikepls-analysis", "version": BUNDLE_VERSION, "periods": {}}
     for period in TRANSITION_LABELS:
         frame, model = bundle.periods[period]
         doc["periods"][period] = {
@@ -205,8 +208,7 @@ def bundle_to_json(bundle: ReportBundle) -> str:
 
 def bundle_from_json(text: str) -> ReportBundle:
     doc = json.loads(text)
-    if doc.get("format") != "bikepls-analysis":
-        raise ValueError("not an analysis document")
+    check_document(doc, "bikepls-analysis", BUNDLE_VERSION)
     periods = {}
     for period, entry in doc["periods"].items():
         frame = _frame_from_doc(entry["frame"])

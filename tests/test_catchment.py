@@ -1,22 +1,32 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from bikepls.catchment import (
     DEFAULT_RADIUS_M,
+    EARTH_RADIUS_M,
     CatchmentCircle,
     CountyPolygon,
     Station,
     assign_counties,
     circle_touches_polygon,
-    haversine,
     load_county_polygons,
     load_stations_csv,
 )
 from bikepls.errors import DegeneratePolygon, UnsupportedGeometry
 
 DEG_LAT_M = 111_194.9  # one degree of latitude on the working sphere
+
+
+def haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Great-circle distance in meters between two lat/lon points."""
+    phi1, lam1, phi2, lam2 = map(math.radians, (lat1, lon1, lat2, lon2))
+    dphi = phi2 - phi1
+    dlam = lam2 - lam1
+    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
+    return EARTH_RADIUS_M * 2 * math.atan2(math.sqrt(a), math.sqrt(1 - a))
 
 
 def square(name, lat_lo, lat_hi, lon_lo, lon_hi):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -61,6 +62,27 @@ class TestDerive:
         profiles = (out / "profiles.csv").read_text()
         assert "st_cherry" in profiles and "st_platte" in profiles
         assert "st_cherry,ZeroBaseline" in capsys.readouterr().err
+
+    def test_error_rows_have_three_fields(self, demo_config, tmp_path):
+        # county_a loses one income category; its message contains a comma
+        rows = (FIXTURES / "acs_income.csv").read_text().splitlines()
+        income = tmp_path / "acs_income.csv"
+        income.write_text("\n".join(r for r in rows if r != "county_a,200k_and_over,60") + "\n")
+        cfg = json.loads(demo_config.read_text())
+        cfg["acs_income"] = str(income)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg))
+
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config_path), "--output-dir", str(out),
+                       "derive") == 2
+        with open(out / "derive_errors.csv", newline="") as f:
+            parsed = list(csv.reader(f))
+        assert parsed[0] == ["station_id", "error", "message"]
+        assert len(parsed) > 1
+        assert all(len(row) == 3 for row in parsed)
+        assert {row[1] for row in parsed[1:]} == {"CategoryCountMismatch"}
+        assert all("9 categories, expected 10" in row[2] for row in parsed[1:])
 
 
 class TestFetch:
@@ -135,6 +157,24 @@ class TestReport:
     def test_missing_analysis_exits_2(self, tmp_path):
         assert run_cli("--output-dir", str(tmp_path / "empty"), "report") == 2
 
+    def test_version_1_analysis_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", str(out), "analyze") == 0
+        path = out / "analysis.json"
+        doc = json.loads(path.read_text())
+        # the version-1 layout: per-sample arrays, no score_ss or n_samples
+        doc["version"] = 1
+        for entry in doc["periods"].values():
+            model = entry["model"]
+            model["version"] = 1
+            del model["score_ss"], model["n_samples"]
+            model["x_scores"] = {"shape": [4, 3], "data": ["0"] * 12}
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("--output-dir", str(out), "report") == 2
+        err = capsys.readouterr().err
+        assert "version 1" in err and "re-run `analyze`" in err
+
 
 class TestReproduce:
     def test_json_summary_structure(self, tmp_path, capsys):
@@ -174,10 +214,16 @@ class TestReproduce:
 class TestConfigHandling:
     def test_unknown_config_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "config.json"
-        bad.write_text(json.dumps({"radius": 4828}))
-        assert run_cli("--config", str(bad), "--output-dir",
-                       str(tmp_path / "out"), "analyze") == 2
-        assert "unknown config fields" in capsys.readouterr().err
+        # tolerance configured the multi-response iteration and is gone
+        for fields in ({"radius": 4828}, {"tolerance": 1e-10}):
+            bad.write_text(json.dumps(fields))
+            assert run_cli("--config", str(bad), "--output-dir",
+                           str(tmp_path / "out"), "analyze") == 2
+            assert "unknown config fields" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--output-dir", str(tmp_path / "out"), "analyze",
+                    "--tolerance", "1e-10")
+        assert exc.value.code == 2
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run_cli("--config", str(tmp_path / "nope.json"), "analyze") == 2

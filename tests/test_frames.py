@@ -255,7 +255,12 @@ class TestPopulationAndGender:
 
 class TestSchedule:
     def test_labels_fixed_order(self):
-        assert SCHEDULE.labels() == PERIOD_LABELS
+        # the windows come out in PERIOD_LABELS order whatever the key order
+        mapping = {label: {"start": str(start), "end": str(end)}
+                   for label, start, end in reversed(SCHEDULE.periods)}
+        schedule = PeriodSchedule.from_mapping(mapping)
+        assert tuple(label for label, _, _ in schedule.periods) == PERIOD_LABELS
+        assert schedule == SCHEDULE
 
     def test_missing_label(self):
         with pytest.raises(ValueError):

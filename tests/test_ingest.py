@@ -13,7 +13,6 @@ from bikepls.ingest import (
     AcsSchema,
     FixtureTransport,
     RawAcsTable,
-    RecordingTransport,
     ResponseCache,
     SourceConfig,
     fetch_counts,
@@ -26,6 +25,23 @@ from bikepls.ingest import (
     parse_acs_income,
     parse_counts_csv,
 )
+
+
+class RecordingTransport:
+    """Wraps a transport and counts the requests that reach it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests: list[str] = []
+
+    def get(self, url: str) -> bytes:
+        self.requests.append(url)
+        return self.inner.get(url)
+
+    @property
+    def call_count(self) -> int:
+        return len(self.requests)
+
 
 COUNTS = b"station_id,date,count\nA,2020-01-02,5\nB,2020-01-01,7\nA,2020-01-01,3\n"
 

@@ -1,25 +1,20 @@
 import dataclasses
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from bikepls import plsr
-from bikepls.errors import (
-    NoConvergence,
-    ShapeMismatch,
-    TooManyComponents,
-    ZeroResidual,
-)
+from bikepls.errors import ShapeMismatch, TooManyComponents
 from bikepls.frames import TRANSITION_LABELS, build_frame
 from bikepls.plsr import (
     adjusted_r_square,
     coefficients,
-    deflate,
+    extract_factors,
     fit,
     model_from_json,
     model_to_json,
-    nipals_component,
     predict,
     variance_explained,
     vip,
@@ -33,92 +28,200 @@ def min_norm_lstsq(x, y):
     return np.linalg.pinv(x) @ (y - y.mean())
 
 
+# --- reference oracle: the general NIPALS iteration extract_factors replaced --
+
+class OracleComponent(NamedTuple):
+    t: np.ndarray  # predictor score (n,)
+    u: np.ndarray  # response score (n,)
+    p: np.ndarray  # predictor loading (J,)
+    q: np.ndarray  # unit response direction (m,)
+    w: np.ndarray  # unit predictor weight (J,)
+
+
+def oracle_nipals_component(E, F, tol=1e-10, max_iter=500):
+    """One factor of the alternating score iteration, for any response width.
+
+    Returns None where the closed form stops early on a zero residual.
+    """
+    E = np.asarray(E, dtype=float)
+    F = np.asarray(F, dtype=float)
+    if F.ndim == 1:
+        F = F.reshape(-1, 1)
+    if np.linalg.norm(E) <= 1e-12 or np.linalg.norm(F) <= 1e-12:
+        return None
+    u = F[:, 0].copy()
+    t_prev = None
+    for _ in range(max_iter):
+        w = E.T @ u
+        w_norm = np.linalg.norm(w)
+        if w_norm <= 1e-12:
+            return None
+        w /= w_norm
+        t = E @ w
+        q = F.T @ t
+        q_norm = np.linalg.norm(q)
+        if q_norm <= 1e-12:
+            return None
+        q /= q_norm
+        u = F @ q
+        if F.shape[1] == 1:
+            break
+        if t_prev is not None and np.linalg.norm(t - t_prev) <= tol:
+            break
+        t_prev = t
+    else:
+        raise RuntimeError(f"score iteration still moving after {max_iter} passes")
+    # Canonical sign: make the dominant response-direction entry positive.
+    k = int(np.argmax(np.abs(q)))
+    if q[k] < 0:
+        w, t, q, u = -w, -t, -q, -u
+    p = E.T @ t / (t @ t)
+    return OracleComponent(t=t, u=u, p=p, q=q, w=w)
+
+
+def oracle_deflate(E, F, t, p):
+    """Remove a fitted factor: rank-1 for E, regression on t for F."""
+    E_next = E - np.outer(t, p)
+    c = F.T @ t / (t @ t)
+    F_next = F - np.outer(t, c)
+    return E_next, F_next
+
+
+def oracle_fit(frame, n_components):
+    """Weights, rotations, loadings, response loadings and Σt² per factor."""
+    X = np.array(frame.x, dtype=float)
+    E = X.copy()
+    F = (frame.y - float(frame.y.mean())).reshape(-1, 1)
+    ws, ts, ps, cs = [], [], [], []
+    for _ in range(n_components):
+        comp = oracle_nipals_component(E, F)
+        if comp is None:
+            break
+        c = F.T @ comp.t / (comp.t @ comp.t)
+        E, F = oracle_deflate(E, F, comp.t, comp.p)
+        ws.append(comp.w)
+        ts.append(comp.t)
+        ps.append(comp.p)
+        cs.append(c)
+    J = X.shape[1]
+    if not ts:
+        return np.zeros((J, 0)), np.zeros((J, 0)), np.zeros((J, 0)), np.zeros(0), np.zeros(0)
+    W, T, P = np.column_stack(ws), np.column_stack(ts), np.column_stack(ps)
+    C = np.column_stack(cs)
+    R = W @ np.linalg.inv(P.T @ W)
+    return W, R, P, C[0], (T * T).sum(axis=0)
+
+
+def _oracle_frames(rng, count):
+    """Random frames, a third with a collinear column pair, a third with the
+    response equal to a predictor; the fit always asks for A = n - 1 when
+    the predictors allow it."""
+    for i in range(count):
+        n = int(rng.integers(3, 10))
+        j = int(rng.integers(2, 9))
+        raw = rng.normal(size=(n, j)) * rng.uniform(0.2, 4.0)
+        y = rng.normal(size=n) * rng.uniform(0.2, 4.0)
+        if i % 3 == 1:
+            raw[:, 1] = 2.5 * raw[:, 0] - 1.0
+        elif i % 3 == 2:
+            y = raw[:, -1].copy()
+        yield build_frame(tuple(f"s{k}" for k in range(n)), raw, y, TRANSITION_LABELS[0])
+
+
+class TestAgainstNipalsOracle:
+    def test_bit_identical_to_nipals_iteration(self, rng):
+        saturated = 0
+        for frame in _oracle_frames(rng, 600):
+            a_max = min(frame.n_samples - 1, frame.n_predictors)
+            saturated += a_max == frame.n_samples - 1
+            model = fit(frame, a_max)
+            W, R, P, C, score_ss = oracle_fit(frame, a_max)
+            assert np.array_equal(model.x_weights, W)
+            assert np.array_equal(model.x_rotations, R)
+            assert np.array_equal(model.x_loadings, P)
+            assert np.array_equal(model.y_loadings, C)
+            assert np.array_equal(model.score_ss, score_ss)
+        assert saturated >= 300
+
+
 class TestNipalsComponent:
+    """One factor of single-response NIPALS, which extract_factors computes
+    in closed form."""
+
     def test_orthonormal_basis_oracle(self, rng):
         q_mat, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        E = q_mat
-        F = q_mat[:, [0]]
-        comp = nipals_component(E, F)
+        W, T, _, _, _ = extract_factors(q_mat, q_mat[:, 0], 1)
         e1 = np.zeros(4)
         e1[0] = 1.0
-        w = comp.w if comp.w @ e1 > 0 else -comp.w
-        t = comp.t if comp.t @ E[:, 0] > 0 else -comp.t
-        assert w == pytest.approx(e1, abs=1e-12)
-        assert t == pytest.approx(E[:, 0], abs=1e-12)
+        assert W[:, 0] == pytest.approx(e1, abs=1e-12)
+        assert T[:, 0] == pytest.approx(q_mat[:, 0], abs=1e-12)
 
     def test_single_response_column_converges_immediately(self, rng):
         E = rng.normal(size=(5, 3))
-        F = rng.normal(size=(5, 1))
-        comp = nipals_component(E, F)
-        assert np.linalg.norm(comp.w) == pytest.approx(1.0)
-        # stationarity: one more pass reproduces the same direction
+        f = rng.normal(size=5)
+        W, T, _, _, _ = extract_factors(E, f, 1)
+        assert np.linalg.norm(W[:, 0]) == pytest.approx(1.0)
+        # the iteration's first pass is the closed form ...
+        comp = oracle_nipals_component(E, f)
+        assert np.array_equal(comp.w, W[:, 0])
+        assert np.array_equal(comp.t, T[:, 0])
+        # ... and one more pass reproduces the same direction
         w_again = E.T @ comp.u
         w_again /= np.linalg.norm(w_again)
-        if w_again @ comp.w < 0:
-            w_again = -w_again
-        assert w_again == pytest.approx(comp.w, abs=1e-12)
+        assert w_again == pytest.approx(W[:, 0], abs=1e-12)
 
     def test_zero_predictor_residual(self):
-        with pytest.raises(ZeroResidual):
-            nipals_component(np.zeros((4, 3)), np.ones((4, 1)))
+        W, T, P, C, E = extract_factors(np.zeros((4, 3)), np.ones(4), 2)
+        assert W.shape == P.shape == (3, 0)
+        assert T.shape == (4, 0) and C.shape == (0,)
+        assert not E.any()
 
     def test_zero_response_residual(self, rng):
-        with pytest.raises(ZeroResidual):
-            nipals_component(rng.normal(size=(4, 3)), np.zeros((4, 1)))
-
-    def test_no_convergence_when_budget_exhausted(self, rng):
-        E = rng.normal(size=(6, 4))
-        F = rng.normal(size=(6, 2))
-        with pytest.raises(NoConvergence):
-            nipals_component(E, F, max_iter=0)
-
-    def test_multi_column_response_converges(self, rng):
-        E = rng.normal(size=(6, 4))
-        F = rng.normal(size=(6, 2))
-        comp = nipals_component(E, F)
-        assert np.linalg.norm(comp.q) == pytest.approx(1.0)
+        x = rng.normal(size=(4, 3))
+        W, T, _, C, E = extract_factors(x, np.zeros(4), 2)
+        assert W.shape == (3, 0) and T.shape == (4, 0) and C.shape == (0,)
+        assert np.array_equal(E, x)
 
     def test_canonical_sign(self, rng):
-        E = rng.normal(size=(5, 3))
-        F = rng.normal(size=(5, 1))
-        comp = nipals_component(E, F)
-        assert comp.q[np.argmax(np.abs(comp.q))] > 0
+        # fᵀt = ‖Eᵀf‖ > 0: the response direction is positive for every factor
+        for _ in range(20):
+            W, T, P, C, E = extract_factors(rng.normal(size=(6, 4)), rng.normal(size=6), 4)
+            assert (C > 0).all()
 
 
 class TestDeflate:
+    """The rank-1 deflation extract_factors applies after each factor."""
+
     def test_rank_one_exact(self, rng):
         t = rng.normal(size=5)
         p = rng.normal(size=3)
-        E = np.outer(t, p)
-        F = rng.normal(size=(5, 1))
-        E2, _ = deflate(E, F, t, p, t, np.ones(1))
+        _, _, _, _, E2 = extract_factors(np.outer(t, p), rng.normal(size=5), 1)
         assert np.abs(E2).max() < 1e-12
 
     def test_residual_orthogonal_to_score(self, rng):
         E = rng.normal(size=(6, 4))
-        F = rng.normal(size=(6, 1))
-        comp = nipals_component(E, F)
-        E2, F2 = deflate(E, F, comp.t, comp.p, comp.u, comp.q)
-        assert np.abs(E2.T @ comp.t).max() < 1e-9
-        assert np.abs(F2.T @ comp.t).max() < 1e-9
+        f = rng.normal(size=6)
+        _, T, _, C, E2 = extract_factors(E, f, 1)
+        assert np.abs(E2.T @ T).max() < 1e-9
+        assert np.abs((f - T @ C) @ T).max() < 1e-9
 
     def test_second_deflation_is_identity(self, rng):
+        # a deflated residual has zero loading and zero response loading on
+        # the same score, so deflating by it again changes nothing
         E = rng.normal(size=(6, 4))
-        F = rng.normal(size=(6, 1))
-        comp = nipals_component(E, F)
-        E2, F2 = deflate(E, F, comp.t, comp.p, comp.u, comp.q)
-        p_again = E2.T @ comp.t / (comp.t @ comp.t)
+        f = rng.normal(size=6)
+        _, T, _, C, E2 = extract_factors(E, f, 1)
+        t = T[:, 0]
+        p_again = E2.T @ t / (t @ t)
+        c_again = (f - C[0] * t) @ t / (t @ t)
         assert np.abs(p_again).max() < 1e-12
-        E3, F3 = deflate(E2, F2, comp.t, p_again, comp.u, comp.q)
-        assert np.abs(E3 - E2).max() < 1e-12
-        assert np.abs(F3 - F2).max() < 1e-12
+        assert abs(c_again) < 1e-12
+        assert np.abs(np.outer(t, p_again)).max() < 1e-12
 
     def test_norm_decreases(self, rng):
         for _ in range(20):
             E = rng.normal(size=(4, 5))
-            F = rng.normal(size=(4, 1))
-            comp = nipals_component(E, F)
-            E2, _ = deflate(E, F, comp.t, comp.p, comp.u, comp.q)
+            _, _, _, _, E2 = extract_factors(E, rng.normal(size=4), 1)
             assert np.linalg.norm(E2) < np.linalg.norm(E)
 
 
@@ -132,7 +235,8 @@ class TestFit:
         frame = table1_frames["pre_pandemic_to_pandemic"]
         model = fit(frame, 0)
         assert model.n_components == 0
-        assert model.x_scores.shape == (4, 0)
+        assert model.score_ss.shape == (0,)
+        assert model.n_samples == 4
         raw = frame.x * model.x_stds + model.x_means
         assert predict(model, raw) == pytest.approx(
             np.full(4, frame.y.mean()), abs=1e-12
@@ -286,11 +390,7 @@ class TestVip:
         for label in TRANSITION_LABELS:
             model = table1_models[label]
             ref = np.array(golden["periods"][label]["vip"])
-            ssy = (
-                (model.y_loadings ** 2).sum(axis=0)
-                * (model.x_scores ** 2).sum(axis=0)
-                / model.y_total_ss
-            )
+            ssy = model.y_loadings ** 2 * model.score_ss / model.y_total_ss
             R = model.x_rotations
             for a in range(1, 4):
                 s = ssy[:a]
@@ -374,7 +474,7 @@ class TestSerialization:
         assert back.y_mean == model.y_mean
         assert back.x_total_ss == model.x_total_ss
         assert back.y_total_ss == model.y_total_ss
-        assert back.tol == model.tol
+        assert back.n_samples == model.n_samples
         assert back.n_components == model.n_components
         assert back.predictor_names == model.predictor_names
         assert model_to_json(back) == text
@@ -391,9 +491,32 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_json(json.dumps({"format": "something-else"}))
 
+    def test_rejects_version_1_document(self, table1_models):
+        doc = json.loads(model_to_json(table1_models["pre_pandemic_to_pandemic"]))
+        for version in (1, None, 3):
+            doc["version"] = version
+            with pytest.raises(ValueError, match="re-run `analyze`"):
+                model_from_json(json.dumps(doc))
+
+    def test_size_does_not_grow_with_samples(self, rng):
+        # the same 50 rows tiled 100 times: every stored number keeps its
+        # magnitude, so only n_samples and a few last-digit roundings of the
+        # sums (x_total_ss = n·J may print as "250" or "24999.999999999996")
+        # can add bytes; a per-sample array would add tens of kilobytes
+        raw = rng.normal(size=(50, 5))
+        y = raw @ rng.normal(size=5) + rng.normal(size=50)
+        texts = []
+        for reps in (1, 100):
+            n = 50 * reps
+            frame = build_frame(tuple(f"s{i}" for i in range(n)), np.tile(raw, (reps, 1)),
+                                np.tile(y, reps), TRANSITION_LABELS[0])
+            texts.append(model_to_json(fit(frame, 3)))
+        assert json.loads(texts[1])["n_samples"] == 5000
+        assert len(texts[1]) <= len(texts[0]) + 64
+
     def test_decimal_strings_have_enough_digits(self, table1_models):
         doc = json.loads(model_to_json(table1_models["pre_pandemic_to_pandemic"]))
-        for value in doc["x_scores"]["data"]:
+        for value in doc["x_rotations"]["data"]:
             assert float(value) == float(f"{float(value):.17g}")
 
 
@@ -422,7 +545,7 @@ class TestSignFlipInvariance:
 def _flip(model, k):
     def flip_col(arr):
         out = np.array(arr)
-        out[:, k] = -out[:, k]
+        out[..., k] = -out[..., k]
         return out
 
     return dataclasses.replace(
@@ -430,41 +553,39 @@ def _flip(model, k):
         x_weights=flip_col(model.x_weights),
         x_rotations=flip_col(model.x_rotations),
         x_loadings=flip_col(model.x_loadings),
-        x_scores=flip_col(model.x_scores),
-        y_scores=flip_col(model.y_scores),
-        y_weights=flip_col(model.y_weights),
         y_loadings=flip_col(model.y_loadings),
-        x_residual=np.array(model.x_residual),
-        y_residual=np.array(model.y_residual),
     )
+
+
+def _extract(frame):
+    """extract_factors' own (W, T, P, C, E) for the frame's full-span fit."""
+    a_max = min(frame.n_samples - 1, frame.n_predictors)
+    return extract_factors(frame.x, frame.y - frame.y.mean(), a_max)
 
 
 class TestStructuralInvariants:
     def test_score_orthogonality_and_reconstruction(self, rng):
         for _ in range(20):
             frame = random_frame(rng)
-            model = fit(frame, min(frame.n_samples - 1, frame.n_predictors))
-            T, P = model.x_scores, model.x_loadings
+            _, T, P, _, E = _extract(frame)
             gram = T.T @ T
             off = gram - np.diag(np.diag(gram))
             assert np.abs(off).max() < 1e-8
-            assert np.abs(frame.x - T @ P.T - model.x_residual).max() < 1e-8
+            assert np.abs(frame.x - T @ P.T - E).max() < 1e-8
 
     def test_scores_match_rotation_identity(self, rng):
         for _ in range(10):
             frame = random_frame(rng)
             model = fit(frame, min(frame.n_samples - 1, frame.n_predictors))
-            assert np.abs(
-                frame.x @ model.x_rotations - model.x_scores
-            ).max() < 1e-9
+            _, T, _, _, _ = _extract(frame)
+            assert np.abs(frame.x @ model.x_rotations - T).max() < 1e-9
 
     def test_deflation_monotone(self, rng):
         for _ in range(10):
             frame = random_frame(rng)
-            model = fit(frame, min(frame.n_samples - 1, frame.n_predictors))
-            T, P = model.x_scores, model.x_loadings
+            _, T, P, _, _ = _extract(frame)
             norms = [
                 np.linalg.norm(frame.x - T[:, :a] @ P[:, :a].T)
-                for a in range(model.n_components + 1)
+                for a in range(T.shape[1] + 1)
             ]
             assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))

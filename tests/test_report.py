@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ class TestBundle:
         back = bundle_from_json(bundle_to_json(bundle))
         assert render_all(back) == render_all(bundle)
         assert bundle_to_json(back) == bundle_to_json(bundle)
+
+    def test_rejects_version_1_documents(self, bundle):
+        doc = json.loads(bundle_to_json(bundle))
+        doc["version"] = 1
+        with pytest.raises(ValueError, match="re-run `analyze`"):
+            bundle_from_json(json.dumps(doc))
+        # a current bundle that embeds a version-1 model is refused too
+        doc["version"] = 2
+        doc["periods"][TRANSITION_LABELS[0]]["model"]["version"] = 1
+        with pytest.raises(ValueError, match="re-run `analyze`"):
+            bundle_from_json(json.dumps(doc))
 
     def test_write_documents(self, bundle, tmp_path):
         docs = render_all(bundle)
