@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DegeneratePolygon, UnsupportedGeometry
+from .errors import DegeneratePolygon, ParseError, UnsupportedGeometry
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -150,9 +150,13 @@ def load_stations_csv(text: str) -> list[Station]:
     if header != ("station_id", "latitude", "longitude", "name"):
         raise ValueError(f"bad stations header: {header}")
     stations = []
-    for row in reader:
+    seen: set[str] = set()
+    for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
+        if row[0] in seen:
+            raise ParseError(f"stations line {lineno}: duplicate station {row[0]!r}")
+        seen.add(row[0])
         stations.append(
             Station(
                 station_id=row[0],

@@ -11,7 +11,8 @@ import csv
 import datetime as dt
 import io
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     EmptyHouseholds,
     EmptyPeriod,
     LengthMismatch,
+    ParseError,
     ZeroBaseline,
     ZeroFemale,
     ZeroVariance,
@@ -156,15 +158,39 @@ class TransitionTable:
     @classmethod
     def from_csv_text(cls, text: str) -> "TransitionTable":
         reader = csv.reader(io.StringIO(text))
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != TRANSITIONS_CSV_HEADER:
             raise ValueError(f"bad transitions header: {header}")
         rates = {}
         for row in reader:
             if not row:
                 continue
-            rates[row[0]] = tuple(float(v) for v in row[1:4])
+            where = f"transitions line {reader.line_num}"
+            _check_row(where, row, len(TRANSITIONS_CSV_HEADER), rates)
+            rates[row[0]] = _finite_numbers(where, row[1:])
         return cls(rates)
+
+
+def _check_row(where: str, row: list[str], width: int, seen: Mapping[str, object]) -> None:
+    """Reject a CSV row of the wrong width or with an already-seen station."""
+    if len(row) != width:
+        raise ParseError(f"{where}: expected {width} fields, got {len(row)}")
+    if row[0] in seen:
+        raise ParseError(f"{where}: duplicate station {row[0]!r}")
+
+
+def _finite_numbers(where: str, cells: Sequence[str]) -> tuple[float, ...]:
+    return tuple(_finite_number(where, cell) for cell in cells)
+
+
+def _finite_number(where: str, cell: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: bad number {cell!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -441,17 +467,15 @@ def build_frame(
 ) -> AnalysisFrame:
     """Standardize raw predictor columns and wrap them as a frame."""
     raw_predictors = np.asarray(raw_predictors, dtype=float)
-    y_raw = np.asarray(y_raw, dtype=float)
     cols, means, stds = [], [], []
     for j in range(raw_predictors.shape[1]):
         col = standardize(raw_predictors[:, j])
         cols.append(col.values)
         means.append(col.source_mean)
         stds.append(col.source_std)
-    y = standardize(y_raw).values if standardize_y else y_raw
     return AnalysisFrame(
         x=np.column_stack(cols),
-        y=np.array(y, dtype=float),
+        y=_response(y_raw, standardize_y),
         station_ids=tuple(station_ids),
         predictor_names=PREDICTOR_NAMES[: raw_predictors.shape[1]]
         if raw_predictors.shape[1] <= len(PREDICTOR_NAMES)
@@ -462,6 +486,12 @@ def build_frame(
     )
 
 
+def _response(y_raw: np.ndarray, standardize_y: bool) -> np.ndarray:
+    y_raw = np.asarray(y_raw, dtype=float)
+    y = standardize(y_raw).values if standardize_y else y_raw
+    return np.array(y, dtype=float)
+
+
 def load_analysis_table(text: str) -> tuple[dict[str, tuple[float, ...]], TransitionTable]:
     """Parse a combined analysis table CSV into predictor rows and rates.
 
@@ -469,9 +499,15 @@ def load_analysis_table(text: str) -> tuple[dict[str, tuple[float, ...]], Transi
     five predictor columns. Predictor rows are returned as raw tuples (the
     table may already be on an arbitrary scale, so no profile-level range
     validation applies).
+
+    Raises
+    ------
+    ParseError
+        Naming the line of a row with the wrong number of fields, a cell
+        that is not a finite number, or a station seen on an earlier line.
     """
     reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
+    header = tuple(next(reader, ()))
     expected = ("station_id",) + TRANSITION_LABELS + PREDICTOR_NAMES
     if header != expected:
         raise ValueError(f"bad analysis table header: {header}")
@@ -480,29 +516,37 @@ def load_analysis_table(text: str) -> tuple[dict[str, tuple[float, ...]], Transi
     for row in reader:
         if not row:
             continue
-        station = row[0]
-        if station in predictor_rows:
-            raise ValueError(f"duplicate station {station!r} in analysis table")
-        rates[station] = tuple(float(v) for v in row[1:4])
-        predictor_rows[station] = tuple(float(v) for v in row[4:9])
+        where = f"analysis table line {reader.line_num}"
+        _check_row(where, row, len(expected), predictor_rows)
+        values = _finite_numbers(where, row[1:])
+        rates[row[0]] = values[:3]
+        predictor_rows[row[0]] = values[3:]
     return predictor_rows, TransitionTable(rates)
 
 
 def frames_from_analysis_table(
     text: str, standardize_y: bool = False
 ) -> dict[str, AnalysisFrame]:
-    """Build one frame per transition from a combined analysis table CSV."""
+    """Build one frame per transition from a combined analysis table CSV.
+
+    The predictors are standardized once: the three frames share one
+    read-only ``x`` with its source statistics and differ only in ``y``.
+    """
     predictor_rows, transitions = load_analysis_table(text)
     station_ids = tuple(sorted(predictor_rows))
     raw = np.array([predictor_rows[s] for s in station_ids], dtype=float)
-    frames = {}
+    y_raw = {}
     for transition in TRANSITION_LABELS:
         col = transitions.column(transition)
-        y_raw = np.array([col[s] for s in station_ids], dtype=float)
-        frames[transition] = build_frame(
-            station_ids, raw, y_raw, transition, standardize_y
+        y_raw[transition] = np.array([col[s] for s in station_ids], dtype=float)
+    first = TRANSITION_LABELS[0]
+    shared = build_frame(station_ids, raw, y_raw[first], first, standardize_y)
+    return {
+        transition: replace(
+            shared, y=_response(y_raw[transition], standardize_y), transition=transition
         )
-    return frames
+        for transition in TRANSITION_LABELS
+    }
 
 
 def profiles_to_csv_text(profiles: Mapping[str, SocioeconomicProfile]) -> str:

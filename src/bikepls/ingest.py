@@ -12,6 +12,7 @@ import datetime as dt
 import hashlib
 import io
 import json
+import math
 import threading
 import urllib.error
 import urllib.request
@@ -409,7 +410,18 @@ def load_population_csv(text: str) -> dict[str, tuple[float, float]]:
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != 3 or row[0] in out:
-            raise ParseError(f"population line {lineno}: bad or duplicate row")
-        out[row[0]] = (float(row[1]), float(row[2]))
+        if len(row) != 3:
+            raise ParseError(f"population line {lineno}: expected 3 fields, got {len(row)}")
+        if row[0] in out:
+            raise ParseError(f"population line {lineno}: duplicate county {row[0]!r}")
+        try:
+            male, female = float(row[1]), float(row[2])
+        except ValueError:
+            raise ParseError(f"population line {lineno}: bad head count in {row[1:]}") from None
+        if not (0 <= male < math.inf and 0 <= female < math.inf):
+            raise ParseError(
+                f"population line {lineno}: head counts must be finite and "
+                f"non-negative, got {row[1:]}"
+            )
+        out[row[0]] = (male, female)
     return out

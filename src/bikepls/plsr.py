@@ -331,15 +331,16 @@ _MATRIX_FIELDS = (
 
 def matrix_to_doc(arr: np.ndarray) -> dict:
     """Encode an array as shape plus 17-significant-digit decimal strings."""
+    arr = np.asarray(arr, dtype=float)
     return {
         "shape": list(arr.shape),
-        "data": [f"{v:.17g}" for v in np.asarray(arr, dtype=float).ravel()],
+        "data": [f"{v:.17g}" for v in arr.ravel().tolist()],
     }
 
 
 def matrix_from_doc(obj: dict) -> np.ndarray:
-    data = np.array([float(s) for s in obj["data"]], dtype=float)
-    return data.reshape(tuple(obj["shape"]))
+    data = obj["data"]
+    return np.fromiter(map(float, data), float, len(data)).reshape(tuple(obj["shape"]))
 
 
 def check_document(doc: dict, fmt: str, version: int) -> None:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .errors import IncompleteBundle
 from .frames import TRANSITION_LABELS, AnalysisFrame
 from .plsr import (
@@ -29,7 +31,7 @@ from .plsr import (
     vip_table,
 )
 
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 TABLE_NAMES = ("variance_explained", "weights", "loadings", "vip", "coefficients")
 
@@ -45,9 +47,34 @@ def format_cell(value: float) -> str:
     return f"{value:.3f}"
 
 
+# Frame fields that every period of a bundle shares: only y differs.
+_SHARED_FRAME_FIELDS = (
+    "station_ids", "predictor_names", "x", "x_source_means", "x_source_stds",
+)
+
+
+def _same_values(a, b) -> bool:
+    """Equal labels, or arrays with the same shape and the same float bits.
+
+    Bits rather than ``==`` so that -0.0 and 0.0, which print differently,
+    never count as the same value.
+    """
+    if a is b:
+        return True
+    if isinstance(a, tuple):
+        return a == b
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @dataclass(frozen=True)
 class ReportBundle:
-    """Frames and fitted models for all three period transitions."""
+    """Frames and fitted models for all three period transitions.
+
+    The frames share one station list, one predictor list and one
+    standardized predictor matrix with its source statistics; only the
+    response column differs by period.
+    """
 
     periods: Mapping[str, tuple[AnalysisFrame, PlsModel]]
 
@@ -55,6 +82,15 @@ class ReportBundle:
         missing = [t for t in TRANSITION_LABELS if t not in self.periods]
         if missing:
             raise IncompleteBundle(f"bundle is missing transitions: {missing}")
+        first = TRANSITION_LABELS[0]
+        frame0 = self.periods[first][0]
+        for period in TRANSITION_LABELS[1:]:
+            frame = self.periods[period][0]
+            for name in _SHARED_FRAME_FIELDS:
+                if not _same_values(getattr(frame0, name), getattr(frame, name)):
+                    raise ValueError(
+                        f"bundle periods {first!r} and {period!r} differ in {name}"
+                    )
 
 
 def _table_rows(frame: AnalysisFrame, model: PlsModel, name: str) -> tuple[list[str], list[list[str]]]:
@@ -130,23 +166,54 @@ def render_tables(bundle: ReportBundle, fmt: str = "csv") -> dict[str, str]:
     return docs
 
 
+FIGURE_HEADER = "station_id,predictor_value,change_rate"
+
+
+class _LineSink(list):
+    """A file-like target that keeps each line a ``csv.writer`` writes."""
+
+    write = list.append
+
+
+def _station_cells(station_ids: tuple[str, ...]) -> list[str]:
+    """Each station id as ``csv.writer`` writes it, with the comma after it.
+
+    A row's quoting of one field does not depend on the others unless the
+    row is a single empty field, so a two-field row gives the same bytes
+    as the station cell of a full figure row.
+    """
+    sink = _LineSink()
+    csv.writer(sink, lineterminator="\n").writerows((s, "") for s in station_ids)
+    return [line[:-1] for line in sink]
+
+
 def export_figure_data(frames: Mapping[str, AnalysisFrame]) -> dict[str, str]:
-    """One scatter CSV per (predictor, period): value vs change rate."""
+    """One scatter CSV per (predictor, period): value vs change rate.
+
+    Each column is formatted once: the station ids once per distinct id
+    list, each predictor column once per distinct matrix, and each
+    period's change rates once.
+    """
     missing = [t for t in TRANSITION_LABELS if t not in frames]
     if missing:
         raise IncompleteBundle(f"figure export is missing transitions: {missing}")
     docs: dict[str, str] = {}
+    stations: dict[tuple[str, ...], list[str]] = {}
+    formatted: list[tuple[np.ndarray, list[list[str]]]] = []
     for period in TRANSITION_LABELS:
         frame = frames[period]
-        for j, pname in enumerate(frame.predictor_names):
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["station_id", "predictor_value", "change_rate"])
-            for i, station in enumerate(frame.station_ids):
-                writer.writerow(
-                    [station, repr(float(frame.x[i, j])), repr(float(frame.y[i]))]
-                )
-            docs[f"figures/{pname}__{period}.csv"] = buf.getvalue()
+        if frame.station_ids not in stations:
+            stations[frame.station_ids] = _station_cells(frame.station_ids)
+        cells = stations[frame.station_ids]
+        columns = next((cols for x, cols in formatted if _same_values(x, frame.x)), None)
+        if columns is None:
+            x = np.asarray(frame.x, dtype=float)
+            columns = [[f"{v!r}," for v in col] for col in x.T.tolist()]
+            formatted.append((frame.x, columns))
+        rates = list(map(repr, np.asarray(frame.y, dtype=float).tolist()))
+        for pname, column in zip(frame.predictor_names, columns):
+            rows = map("".join, zip(cells, column, rates))
+            docs[f"figures/{pname}__{period}.csv"] = "\n".join([FIGURE_HEADER, *rows]) + "\n"
     return docs
 
 
@@ -171,36 +238,23 @@ def write_documents(docs: Mapping[str, str], out_dir: str | Path) -> list[Path]:
 
 # --- bundle persistence ------------------------------------------------------
 
-def _frame_to_doc(frame: AnalysisFrame) -> dict:
-    return {
+def bundle_to_json(bundle: ReportBundle) -> str:
+    """Serialize the shared frame fields once, then each period's y and model."""
+    frame = bundle.periods[TRANSITION_LABELS[0]][0]
+    doc = {
+        "format": "bikepls-analysis",
+        "version": BUNDLE_VERSION,
         "station_ids": list(frame.station_ids),
         "predictor_names": list(frame.predictor_names),
-        "transition": frame.transition,
         "x": matrix_to_doc(frame.x),
-        "y": matrix_to_doc(frame.y),
         "x_source_means": matrix_to_doc(frame.x_source_means),
         "x_source_stds": matrix_to_doc(frame.x_source_stds),
+        "periods": {},
     }
-
-
-def _frame_from_doc(doc: dict) -> AnalysisFrame:
-    return AnalysisFrame(
-        x=matrix_from_doc(doc["x"]),
-        y=matrix_from_doc(doc["y"]),
-        station_ids=tuple(doc["station_ids"]),
-        predictor_names=tuple(doc["predictor_names"]),
-        transition=doc["transition"],
-        x_source_means=matrix_from_doc(doc["x_source_means"]),
-        x_source_stds=matrix_from_doc(doc["x_source_stds"]),
-    )
-
-
-def bundle_to_json(bundle: ReportBundle) -> str:
-    doc = {"format": "bikepls-analysis", "version": BUNDLE_VERSION, "periods": {}}
     for period in TRANSITION_LABELS:
         frame, model = bundle.periods[period]
         doc["periods"][period] = {
-            "frame": _frame_to_doc(frame),
+            "y": matrix_to_doc(frame.y),
             "model": json.loads(model_to_json(model)),
         }
     return json.dumps(doc, indent=2)
@@ -209,9 +263,16 @@ def bundle_to_json(bundle: ReportBundle) -> str:
 def bundle_from_json(text: str) -> ReportBundle:
     doc = json.loads(text)
     check_document(doc, "bikepls-analysis", BUNDLE_VERSION)
+    shared = {
+        "x": matrix_from_doc(doc["x"]),
+        "station_ids": tuple(doc["station_ids"]),
+        "predictor_names": tuple(doc["predictor_names"]),
+        "x_source_means": matrix_from_doc(doc["x_source_means"]),
+        "x_source_stds": matrix_from_doc(doc["x_source_stds"]),
+    }
     periods = {}
     for period, entry in doc["periods"].items():
-        frame = _frame_from_doc(entry["frame"])
+        frame = AnalysisFrame(y=matrix_from_doc(entry["y"]), transition=period, **shared)
         model = model_from_json(json.dumps(entry["model"]))
         periods[period] = (frame, model)
     return ReportBundle(periods)

@@ -11,6 +11,11 @@ from bikepls.reproduce import load_bundled_table, load_golden
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
 
+# Floats whose decimal text is easy to get wrong: signed zero, the smallest
+# subnormal, the largest finite double, and values with short or long reprs.
+SPECIAL_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 2.0, 0.1, 1 / 3)
+
 
 @pytest.fixture(scope="session")
 def table1_text() -> str:

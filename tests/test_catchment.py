@@ -15,7 +15,7 @@ from bikepls.catchment import (
     load_county_polygons,
     load_stations_csv,
 )
-from bikepls.errors import DegeneratePolygon, UnsupportedGeometry
+from bikepls.errors import DegeneratePolygon, ParseError, UnsupportedGeometry
 
 DEG_LAT_M = 111_194.9  # one degree of latitude on the working sphere
 
@@ -211,6 +211,12 @@ class TestStations:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             load_stations_csv("id,lat,lon\na,1,2\n")
+
+    def test_duplicate_station_names_its_line(self):
+        text = ("station_id,latitude,longitude,name\na,39.7,-105.0,A\n"
+                "b,39.8,-105.1,B\na,39.9,-105.2,A again\n")
+        with pytest.raises(ParseError, match="^stations line 4: duplicate station 'a'"):
+            load_stations_csv(text)
 
     def test_coordinate_bounds(self):
         with pytest.raises(ValueError):

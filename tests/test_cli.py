@@ -138,6 +138,24 @@ class TestAnalyze:
                        "--input", "/nonexistent/table.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row + ",7", "analysis table line 3: expected 9 fields, got 10"),
+        (lambda row: row.rsplit(",", 1)[0], "analysis table line 3: expected 9 fields, got 8"),
+        (lambda row: row.replace(",0.79,", ",high,"), "analysis table line 3: bad number 'high'"),
+        (lambda row: "0" + row[1:], "analysis table line 3: duplicate station '0'"),
+    ])
+    def test_bad_table_row_exits_2_with_line(self, table1_text, tmp_path, capsys,
+                                             edit, message):
+        lines = table1_text.strip().splitlines()
+        lines[2] = edit(lines[2])
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(lines) + "\n")
+        code = run_cli("--output-dir", str(tmp_path / "out"), "analyze",
+                       "--input", str(table))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_components_config(self, tmp_path):
         code = run_cli("--output-dir", str(tmp_path / "out"), "analyze",
                        "--components", "0")
@@ -174,6 +192,36 @@ class TestReport:
         assert run_cli("--output-dir", str(out), "report") == 2
         err = capsys.readouterr().err
         assert "version 1" in err and "re-run `analyze`" in err
+
+
+    def test_version_2_analysis_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", str(out), "analyze") == 0
+        path = out / "analysis.json"
+        doc = json.loads(path.read_text())
+        # the version-2 layout: every period holds a whole frame
+        shared = {k: doc.pop(k) for k in ("station_ids", "predictor_names", "x",
+                                          "x_source_means", "x_source_stds")}
+        doc["version"] = 2
+        for period, entry in doc["periods"].items():
+            entry["frame"] = dict(shared, y=entry.pop("y"), transition=period)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("--output-dir", str(out), "report") == 2
+        err = capsys.readouterr().err
+        assert "version 2" in err and "re-run `analyze`" in err
+
+    def test_inconsistent_period_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", str(out), "analyze") == 0
+        path = out / "analysis.json"
+        doc = json.loads(path.read_text())
+        doc["periods"]["pandemic_to_transition"]["y"]["data"].pop()
+        doc["periods"]["pandemic_to_transition"]["y"]["shape"] = [3]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("--output-dir", str(out), "report") == 2
+        assert "y must have shape (4,)" in capsys.readouterr().err
 
 
 class TestReproduce:

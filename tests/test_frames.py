@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from bikepls.errors import (
     EmptyHouseholds,
     EmptyPeriod,
     LengthMismatch,
+    ParseError,
     ZeroBaseline,
     ZeroFemale,
     ZeroVariance,
@@ -25,6 +27,7 @@ from bikepls.frames import (
     avg_age,
     avg_education,
     avg_income,
+    build_frame,
     change_rate,
     frames_from_analysis_table,
     load_analysis_table,
@@ -390,8 +393,65 @@ class TestAnalysisTable:
 
     def test_duplicate_station(self, table1_text):
         lines = table1_text.strip().splitlines()
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ParseError, match=f"line {len(lines) + 1}: duplicate"):
             load_analysis_table("\n".join(lines + [lines[1]]))
+
+
+# Edits of one analysis-table row (a list of cells) and the error they give.
+BAD_ROW_EDITS = [
+    (lambda cells: cells + ["7"], "expected 9 fields, got 10"),
+    (lambda cells: cells[:-1], "expected 9 fields, got 8"),
+    (lambda cells: cells[:6] + ["n/a"] + cells[7:], "bad number 'n/a'"),
+    (lambda cells: cells[:2] + [""] + cells[3:], "bad number ''"),
+    (lambda cells: cells[:2] + ["inf"] + cells[3:], "bad number 'inf'"),
+    (lambda cells: cells[:8] + ["nan"], "bad number 'nan'"),
+    (lambda cells: ["1"] + cells[1:], "duplicate station '1'"),
+]
+
+
+class TestAnalysisTableRows:
+    @pytest.mark.parametrize("edit, message", BAD_ROW_EDITS)
+    def test_bad_row_names_its_line(self, table1_text, edit, message):
+        lines = table1_text.strip().splitlines()
+        lines[3] = ",".join(edit(lines[3].split(",")))
+        with pytest.raises(ParseError, match="^" + re.escape(f"analysis table line 4: {message}")):
+            load_analysis_table("\n".join(lines) + "\n")
+
+    def test_line_numbers_count_blank_lines(self, table1_text):
+        lines = table1_text.strip().splitlines()
+        text = "\n".join(lines[:2] + ["", ""] + lines[2:] + [lines[1]]) + "\n"
+        with pytest.raises(ParseError, match="analysis table line 8: duplicate"):
+            load_analysis_table(text)
+
+    def test_empty_text_is_a_bad_header(self):
+        with pytest.raises(ValueError, match="bad analysis table header"):
+            load_analysis_table("")
+
+    def test_frames_share_one_predictor_matrix(self, table1_frames):
+        first = table1_frames[TRANSITION_LABELS[0]]
+        for frame in table1_frames.values():
+            assert frame.x is first.x
+            assert frame.x_source_means is first.x_source_means
+            assert frame.x_source_stds is first.x_source_stds
+            assert frame.station_ids is first.station_ids
+        assert not first.x.flags.writeable
+
+    @pytest.mark.parametrize("standardize_y", [False, True])
+    def test_frames_equal_one_build_per_transition(self, table1_text, standardize_y):
+        # the frames the per-transition build_frame calls gave, bit for bit
+        predictor_rows, transitions = load_analysis_table(table1_text)
+        ids = tuple(sorted(predictor_rows))
+        raw = np.array([predictor_rows[s] for s in ids])
+        got = frames_from_analysis_table(table1_text, standardize_y)
+        for transition in TRANSITION_LABELS:
+            col = transitions.column(transition)
+            want = build_frame(ids, raw, np.array([col[s] for s in ids]), transition,
+                               standardize_y)
+            frame = got[transition]
+            for name in ("x", "y", "x_source_means", "x_source_stds"):
+                assert getattr(frame, name).tobytes() == getattr(want, name).tobytes()
+            assert (frame.station_ids, frame.predictor_names, frame.transition) == \
+                (want.station_ids, want.predictor_names, want.transition)
 
 
 class TestCsvRoundTrips:
@@ -404,6 +464,18 @@ class TestCsvRoundTrips:
         text = RATES.to_csv_text()
         back = TransitionTable.from_csv_text(text)
         assert back.rates == RATES.rates
+
+    @pytest.mark.parametrize("row, message", [
+        ("a,1.0,2.0,3.0", "duplicate station 'a'"),
+        ("b,1.0,2.0", "expected 4 fields, got 3"),
+        ("b,1.0,2.0,3.0,4.0", "expected 4 fields, got 5"),
+        ("b,1.0,fast,3.0", "bad number 'fast'"),
+        ("b,1.0,-inf,3.0", "bad number '-inf'"),
+    ])
+    def test_transitions_bad_row_names_its_line(self, row, message):
+        text = ",".join(("station_id",) + TRANSITION_LABELS) + "\na,1.0,2.0,3.0\n" + row + "\n"
+        with pytest.raises(ParseError, match="^" + re.escape(f"transitions line 3: {message}")):
+            TransitionTable.from_csv_text(text)
 
 
 class TestProfileValidation:

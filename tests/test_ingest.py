@@ -300,3 +300,17 @@ class TestPopulationCsv:
     def test_rejects_duplicate(self):
         with pytest.raises(ParseError):
             load_population_csv("county,male,female\na,10,12\na,1,2\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("b,ten,12", "bad head count"),
+        ("b,10,", "bad head count"),
+        ("b,-1,12", "head counts must be finite and non-negative"),
+        ("b,10,-0.5", "head counts must be finite and non-negative"),
+        ("b,nan,12", "head counts must be finite and non-negative"),
+        ("b,10,inf", "head counts must be finite and non-negative"),
+        ("b,10", "expected 3 fields, got 2"),
+        ("a,1,2", "duplicate county 'a'"),
+    ])
+    def test_bad_row_names_its_line(self, row, message):
+        with pytest.raises(ParseError, match=f"^population line 3: {message}"):
+            load_population_csv(f"county,male,female\na,10,12\n{row}\n")

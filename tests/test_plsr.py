@@ -20,7 +20,7 @@ from bikepls.plsr import (
     vip,
     vip_table,
 )
-from conftest import random_frame
+from conftest import SPECIAL_VALUES, random_frame
 
 
 def min_norm_lstsq(x, y):
@@ -518,6 +518,55 @@ class TestSerialization:
         doc = json.loads(model_to_json(table1_models["pre_pandemic_to_pandemic"]))
         for value in doc["x_rotations"]["data"]:
             assert float(value) == float(f"{float(value):.17g}")
+
+
+def matrix_to_doc_oracle(arr):
+    """The per-element encoder that ``plsr.matrix_to_doc`` replaced."""
+    return {
+        "shape": list(arr.shape),
+        "data": [f"{v:.17g}" for v in np.asarray(arr, dtype=float).ravel()],
+    }
+
+
+def matrix_from_doc_oracle(obj):
+    """The per-element decoder that ``plsr.matrix_from_doc`` replaced."""
+    data = np.array([float(s) for s in obj["data"]], dtype=float)
+    return data.reshape(tuple(obj["shape"]))
+
+
+class TestDecimalStringsAgainstOracle:
+    def _arrays(self, rng):
+        yield np.array(SPECIAL_VALUES)
+        yield np.array(SPECIAL_VALUES).reshape(2, 5)
+        yield np.zeros((5, 0))
+        yield np.zeros(0)
+        for _ in range(200):
+            shape = tuple(int(d) for d in rng.integers(1, 7, size=rng.integers(1, 3)))
+            scale = 10.0 ** rng.integers(-300, 300, size=shape)
+            arr = rng.normal(size=shape) * scale
+            arr.ravel()[rng.random(arr.size) < 0.2] = rng.choice(SPECIAL_VALUES)
+            yield arr
+        # a strided view and an integer array go through the same path
+        yield rng.normal(size=(6, 4))[::2, ::-1]
+        yield np.arange(6).reshape(2, 3)
+
+    def test_encoder_matches_oracle(self, rng):
+        for arr in self._arrays(rng):
+            assert plsr.matrix_to_doc(arr) == matrix_to_doc_oracle(arr)
+
+    def test_decoder_matches_oracle_bit_for_bit(self, rng):
+        for arr in self._arrays(rng):
+            doc = matrix_to_doc_oracle(arr)
+            got, want = plsr.matrix_from_doc(doc), matrix_from_doc_oracle(doc)
+            assert got.shape == want.shape == arr.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == np.asarray(arr, dtype=float).tobytes()
+
+    def test_model_documents_unchanged(self, table1_models, monkeypatch):
+        fast = {label: model_to_json(m) for label, m in table1_models.items()}
+        monkeypatch.setattr(plsr, "matrix_to_doc", matrix_to_doc_oracle)
+        for label, model in table1_models.items():
+            assert fast[label] == model_to_json(model)
 
 
 class TestSignFlipInvariance:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,48 @@ from bikepls.report import (
     render_tables,
     write_documents,
 )
+from conftest import SPECIAL_VALUES
+
+
+def export_figure_data_oracle(frames):
+    """The per-cell figure writer that ``export_figure_data`` replaced."""
+    docs = {}
+    for period in TRANSITION_LABELS:
+        frame = frames[period]
+        for j, pname in enumerate(frame.predictor_names):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["station_id", "predictor_value", "change_rate"])
+            for i, station in enumerate(frame.station_ids):
+                writer.writerow(
+                    [station, repr(float(frame.x[i, j])), repr(float(frame.y[i]))]
+                )
+            docs[f"figures/{pname}__{period}.csv"] = buf.getvalue()
+    return docs
+
+
+# Ids that csv.writer quotes, or that look as if it might.
+AWKWARD_IDS = ("a,b", 'say "hi"', " lead", "trail ", "Zürich-Ost", "東京",
+               "", "two\nlines", "cr\rlf", "plain")
+
+
+def _with_special_values(rng, arr):
+    mask = rng.random(arr.shape) < 0.3
+    arr[mask] = rng.choice(SPECIAL_VALUES, size=int(mask.sum()))
+    return arr
+
+
+def _random_x(rng, n, j):
+    return _with_special_values(rng, rng.normal(size=(n, j)) * 10.0 ** rng.integers(-5, 5, size=j))
+
+
+def _frame(x, y, station_ids, transition=TRANSITION_LABELS[0]):
+    j = x.shape[1]
+    return AnalysisFrame(
+        x=x, y=y, station_ids=station_ids,
+        predictor_names=tuple(f"p{k}" for k in range(j)), transition=transition,
+        x_source_means=np.zeros(j), x_source_stds=np.ones(j),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +181,48 @@ class TestFigureData:
         )))
         assert len(rows) == 2
 
+    def test_matches_per_cell_oracle(self, rng):
+        for trial in range(60):
+            n, j = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+            ids = tuple(str(sid) for sid in rng.choice(AWKWARD_IDS, size=n))
+            x = _random_x(rng, n, j)
+            if trial % 4 == 0:  # one X object shared by every period
+                xs = [x, x, x]
+            elif trial % 4 == 1:  # equal values in distinct objects
+                xs = [x, x.copy(), np.array(x, order="F")]
+            elif trial % 4 == 2:  # a different X per period
+                xs = [x, _random_x(rng, n, j), x[::-1].copy()]
+            else:  # equal as numbers but -0.0 where the first has 0.0
+                zeroed = x.copy()
+                zeroed[0, 0] = 0.0
+                flipped = zeroed.copy()
+                flipped[0, 0] = -0.0
+                xs = [zeroed, flipped, zeroed.copy()]
+            frames = {}
+            for period, xp in zip(TRANSITION_LABELS, xs):
+                y = _with_special_values(rng, rng.normal(size=n))
+                frames[period] = _frame(xp, y, ids, period)
+            assert export_figure_data(frames) == export_figure_data_oracle(frames)
+
+    def test_awkward_station_ids_match_oracle(self, rng):
+        x = _random_x(rng, len(AWKWARD_IDS), 2)
+        frames = {t: _frame(x, rng.normal(size=len(AWKWARD_IDS)), AWKWARD_IDS, t)
+                  for t in TRANSITION_LABELS}
+        assert export_figure_data(frames) == export_figure_data_oracle(frames)
+        for ids in [(sid,) for sid in AWKWARD_IDS]:
+            single = _frame(np.array([[-0.0, 5e-324]]), np.array([2.0]), ids)
+            frames = {t: single for t in TRANSITION_LABELS}
+            assert export_figure_data(frames) == export_figure_data_oracle(frames)
+
+    def test_station_lists_may_differ_by_period(self, rng):
+        x = _random_x(rng, 3, 2)
+        frames = {t: _frame(x, rng.normal(size=3), (f"{t}-a", "b,c", "d"), t)
+                  for t in TRANSITION_LABELS}
+        assert export_figure_data(frames) == export_figure_data_oracle(frames)
+
+    def test_bundled_table_matches_oracle(self, table1_frames):
+        assert export_figure_data(table1_frames) == export_figure_data_oracle(table1_frames)
+
     def test_missing_period(self, table1_frames):
         partial = {TRANSITION_LABELS[0]: table1_frames[TRANSITION_LABELS[0]]}
         with pytest.raises(IncompleteBundle):
@@ -161,10 +246,83 @@ class TestBundle:
         with pytest.raises(ValueError, match="re-run `analyze`"):
             bundle_from_json(json.dumps(doc))
         # a current bundle that embeds a version-1 model is refused too
-        doc["version"] = 2
+        doc["version"] = 3
         doc["periods"][TRANSITION_LABELS[0]]["model"]["version"] = 1
         with pytest.raises(ValueError, match="re-run `analyze`"):
             bundle_from_json(json.dumps(doc))
+
+    def test_round_trip_is_bit_exact(self, bundle):
+        text = bundle_to_json(bundle)
+        back = bundle_from_json(text)
+        for period in TRANSITION_LABELS:
+            frame, got = bundle.periods[period][0], back.periods[period][0]
+            for name in ("x", "y", "x_source_means", "x_source_stds"):
+                assert getattr(got, name).tobytes() == getattr(frame, name).tobytes()
+            assert got.station_ids == frame.station_ids
+            assert got.predictor_names == frame.predictor_names
+            assert got.transition == period
+        assert bundle_to_json(back) == text
+
+    def test_loaded_periods_share_one_matrix(self, bundle):
+        back = bundle_from_json(bundle_to_json(bundle))
+        xs = {id(back.periods[t][0].x) for t in TRANSITION_LABELS}
+        assert len(xs) == 1
+
+    def test_document_holds_one_predictor_matrix(self, bundle):
+        doc = json.loads(bundle_to_json(bundle))
+        found = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    if key == "x":
+                        found.append(value)
+                    walk(value)
+            elif isinstance(node, list):
+                for value in node:
+                    walk(value)
+
+        walk(doc)
+        frame = bundle.periods[TRANSITION_LABELS[0]][0]
+        assert len(found) == 1
+        assert found[0]["shape"] == list(frame.x.shape)
+        assert len(found[0]["data"]) == frame.n_samples * frame.n_predictors
+        for period in TRANSITION_LABELS:
+            assert set(doc["periods"][period]) == {"y", "model"}
+
+    def test_rejects_version_2_documents(self, bundle, table1_models):
+        # the version-2 layout: a full frame, with its own x, per period
+        frame = bundle.periods[TRANSITION_LABELS[0]][0]
+        doc = {"format": "bikepls-analysis", "version": 2, "periods": {
+            t: {"frame": {"x": plsr.matrix_to_doc(frame.x)},
+                "model": json.loads(plsr.model_to_json(table1_models[t]))}
+            for t in TRANSITION_LABELS
+        }}
+        with pytest.raises(ValueError, match="version 2 .*re-run `analyze`"):
+            bundle_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["station_ids", "predictor_names", "x",
+                                       "x_source_means", "x_source_stds"])
+    def test_rejects_periods_that_differ(self, field, table1_frames, table1_models):
+        frame = table1_frames[TRANSITION_LABELS[1]]
+        value = getattr(frame, field)
+        if isinstance(value, tuple):
+            changed = value[:-1] + ("other",)
+        else:
+            changed = value.copy()
+            changed.flat[0] = -changed.flat[0]
+        periods = {t: (table1_frames[t], table1_models[t]) for t in TRANSITION_LABELS}
+        periods[TRANSITION_LABELS[1]] = (replace(frame, **{field: changed}),
+                                         table1_models[TRANSITION_LABELS[1]])
+        with pytest.raises(ValueError, match=f"differ in {field}"):
+            ReportBundle(periods)
+
+    def test_accepts_equal_copies(self, table1_frames, table1_models):
+        periods = {t: (replace(table1_frames[t], x=table1_frames[t].x.copy()),
+                       table1_models[t]) for t in TRANSITION_LABELS}
+        assert render_all(ReportBundle(periods)) == render_all(
+            ReportBundle({t: (table1_frames[t], table1_models[t]) for t in TRANSITION_LABELS})
+        )
 
     def test_write_documents(self, bundle, tmp_path):
         docs = render_all(bundle)
