@@ -1,43 +1,3 @@
 """Bicycle-count change-rate analysis with latent-factor regression."""
 
-from .frames import (
-    AnalysisFrame,
-    CountSeries,
-    PeriodSchedule,
-    SocioeconomicProfile,
-    TransitionTable,
-    assemble_frame,
-    change_rate,
-    standardize,
-    transition_rates,
-)
-from .plsr import (
-    PlsModel,
-    adjusted_r_square,
-    coefficients,
-    fit,
-    predict,
-    variance_explained,
-    vip,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisFrame",
-    "CountSeries",
-    "PeriodSchedule",
-    "PlsModel",
-    "SocioeconomicProfile",
-    "TransitionTable",
-    "adjusted_r_square",
-    "assemble_frame",
-    "change_rate",
-    "coefficients",
-    "fit",
-    "predict",
-    "standardize",
-    "transition_rates",
-    "variance_explained",
-    "vip",
-]

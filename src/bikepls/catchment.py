@@ -141,30 +141,42 @@ def assign_counties(
 
 
 def load_stations_csv(text: str) -> list[Station]:
-    """Read stations from a ``station_id,latitude,longitude,name`` CSV."""
+    """Read stations from a ``station_id,latitude,longitude,name`` CSV.
+
+    The name is optional, so a row has 3 or 4 fields.
+
+    Raises
+    ------
+    ParseError
+        Naming the line of a row with another field count, a coordinate
+        that is not a number or out of range, or a station seen before.
+    """
     import csv
     import io
 
     reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
+    header = tuple(next(reader, ()))
     if header != ("station_id", "latitude", "longitude", "name"):
         raise ValueError(f"bad stations header: {header}")
     stations = []
     seen: set[str] = set()
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        where = f"stations line {reader.line_num}"
+        if len(row) not in (3, 4):
+            raise ParseError(f"{where}: expected 3 or 4 fields, got {len(row)}")
         if row[0] in seen:
-            raise ParseError(f"stations line {lineno}: duplicate station {row[0]!r}")
+            raise ParseError(f"{where}: duplicate station {row[0]!r}")
         seen.add(row[0])
-        stations.append(
-            Station(
-                station_id=row[0],
-                latitude=float(row[1]),
-                longitude=float(row[2]),
-                name=row[3] if len(row) > 3 else "",
-            )
-        )
+        try:
+            latitude, longitude = float(row[1]), float(row[2])
+        except ValueError:
+            raise ParseError(f"{where}: bad coordinates {row[1]!r}, {row[2]!r}") from None
+        try:
+            stations.append(Station(row[0], latitude, longitude, *row[3:]))
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from None
     return stations
 
 

@@ -15,20 +15,15 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import catchment, frames, ingest, plsr, reproduce
+# The other layers are imported inside the commands that use them, so that
+# `--help` and argument errors never load numpy.
+from . import catchment
 from .errors import (
     BikeplsError,
     CacheCorrupt,
     MissingCounty,
     NetworkError,
     SingularProjection,
-)
-from .report import (
-    ReportBundle,
-    bundle_from_json,
-    bundle_to_json,
-    render_all,
-    write_documents,
 )
 
 EXIT_OK = 0
@@ -119,6 +114,8 @@ def _read(path: str, what: str) -> str:
 
 
 def _make_transport(cfg: RunConfig):
+    from . import ingest
+
     if cfg.transport == "live":
         return ingest.LiveTransport(cfg.timeout_s)
     directory = _require(cfg.fixtures, "fixtures directory")
@@ -127,6 +124,8 @@ def _make_transport(cfg: RunConfig):
 
 def _merged_count_series(paths: tuple[str, ...]) -> dict[str, dict]:
     """Parse one or more counts CSVs and merge entries per station."""
+    from . import ingest
+
     merged: dict[str, dict[dt.date, int]] = {}
     for path in paths:
         data = Path(path)
@@ -144,11 +143,15 @@ def _merged_count_series(paths: tuple[str, ...]) -> dict[str, dict]:
 
 
 def _year_series(station: str, entries: dict, year: int) -> frames.CountSeries:
+    from . import frames
+
     subset = tuple(sorted((d, c) for d, c in entries.items() if d.year == year))
     return frames.CountSeries(station_id=station, entries=subset)
 
 
 def cmd_fetch(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
+    from . import frames, ingest
+
     stations = catchment.load_stations_csv(_read(_require(cfg.stations, "stations"), "stations"))
     start = dt.date.fromisoformat(_require(cfg.start, "start date"))
     end = dt.date.fromisoformat(_require(cfg.end, "end date"))
@@ -176,6 +179,8 @@ def cmd_fetch(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
 
 def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
+    from . import frames, ingest
+
     schedule = frames.PeriodSchedule.from_json(
         _read(_require(cfg.schedule, "schedule"), "schedule")
     )
@@ -244,6 +249,10 @@ def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
     (out_dir / "transitions.csv").write_text(
         frames.TransitionTable(rates).to_csv_text()
     )
+    table_ids = sorted(rates)
+    (out_dir / "analysis_table.csv").write_text(frames.analysis_table_to_csv_text(
+        table_ids, [rates[s] for s in table_ids], [profiles[s].as_row() for s in table_ids]
+    ))
     if errors:
         with open(out_dir / "derive_errors.csv", "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
@@ -259,7 +268,15 @@ def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
-    text = _read(cfg.input, "input table") if cfg.input else reproduce.load_bundled_table()
+    from . import frames, plsr
+    from .report import ReportBundle, bundle_to_json, render_all, write_documents
+
+    if cfg.input:
+        text = _read(cfg.input, "input table")
+    else:
+        from .reproduce import load_bundled_table
+
+        text = load_bundled_table()
     frame_map = frames.frames_from_analysis_table(text, cfg.standardize_y)
     fitted = {
         label: (frame, plsr.fit(frame, cfg.components))
@@ -291,6 +308,8 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
 
 def cmd_report(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
+    from .report import bundle_from_json, render_all, write_documents
+
     source = cfg.input or str(out_dir / "analysis.json")
     bundle = bundle_from_json(_read(source, "analysis document"))
     written = write_documents(render_all(bundle), out_dir)
@@ -300,6 +319,9 @@ def cmd_report(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
 
 def cmd_reproduce(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
+    from . import reproduce
+    from .report import write_documents
+
     result = reproduce.run_reproduction(components=cfg.components)
     write_documents(reproduce.render_reproduction_documents(result), out_dir)
     if as_json:

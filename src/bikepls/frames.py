@@ -13,7 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ PREDICTOR_NAMES = (
 COUNTS_CSV_HEADER = ("station_id", "date", "count")
 PROFILES_CSV_HEADER = ("station_id",) + PREDICTOR_NAMES
 TRANSITIONS_CSV_HEADER = ("station_id",) + TRANSITION_LABELS
+ANALYSIS_TABLE_HEADER = ("station_id",) + TRANSITION_LABELS + PREDICTOR_NAMES
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,13 @@ class PeriodSchedule:
         for label, start, end in self.periods:
             if start > end:
                 raise ValueError(f"period {label!r} has start after end")
+            # Totals map each window onto one calendar year (see period_totals),
+            # which cannot hold a window that crosses New Year.
+            if start.year != end.year:
+                raise ValueError(
+                    f"period {label!r} crosses New Year ({start}..{end}); "
+                    "each window must lie within one calendar year"
+                )
             if prev_end is not None and start <= prev_end:
                 raise ValueError(f"period {label!r} overlaps the previous period")
             prev_end = end
@@ -140,47 +148,20 @@ class TransitionTable:
             if not all(np.isfinite(row)):
                 raise ValueError(f"station {station!r} has a non-finite rate")
 
-    def stations(self) -> tuple[str, ...]:
-        return tuple(sorted(self.rates))
-
-    def column(self, transition: str) -> dict[str, float]:
-        idx = TRANSITION_LABELS.index(transition)
-        return {station: self.rates[station][idx] for station in self.rates}
-
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TRANSITIONS_CSV_HEADER)
-        for station in self.stations():
-            writer.writerow([station] + [repr(float(v)) for v in self.rates[station]])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "TransitionTable":
-        reader = csv.reader(io.StringIO(text))
-        header = tuple(next(reader, ()))
-        if header != TRANSITIONS_CSV_HEADER:
-            raise ValueError(f"bad transitions header: {header}")
-        rates = {}
-        for row in reader:
-            if not row:
-                continue
-            where = f"transitions line {reader.line_num}"
-            _check_row(where, row, len(TRANSITIONS_CSV_HEADER), rates)
-            rates[row[0]] = _finite_numbers(where, row[1:])
-        return cls(rates)
+        return _csv_text(
+            TRANSITIONS_CSV_HEADER, ((s, self.rates[s]) for s in sorted(self.rates))
+        )
 
 
-def _check_row(where: str, row: list[str], width: int, seen: Mapping[str, object]) -> None:
-    """Reject a CSV row of the wrong width or with an already-seen station."""
-    if len(row) != width:
-        raise ParseError(f"{where}: expected {width} fields, got {len(row)}")
-    if row[0] in seen:
-        raise ParseError(f"{where}: duplicate station {row[0]!r}")
-
-
-def _finite_numbers(where: str, cells: Sequence[str]) -> tuple[float, ...]:
-    return tuple(_finite_number(where, cell) for cell in cells)
+def _csv_text(header: Sequence[str], rows: Iterable[tuple[str, Sequence[float]]]) -> str:
+    """``header``, then one ``station,value,...`` line per row, each value
+    written as ``repr(float)`` so that it parses back to the same double."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([station] + [repr(float(v)) for v in values] for station, values in rows)
+    return buf.getvalue()
 
 
 def _finite_number(where: str, cell: str) -> float:
@@ -433,31 +414,6 @@ def population_and_gender(male: float, female: float) -> tuple[float, float]:
     return male + female, male / female
 
 
-def assemble_frame(
-    profiles: Mapping[str, SocioeconomicProfile],
-    transitions: TransitionTable,
-    transition: str,
-    standardize_y: bool = False,
-) -> AnalysisFrame:
-    """Assemble the frame for one transition from per-station inputs.
-
-    Stations are ordered by id; predictor columns follow
-    ``PREDICTOR_NAMES``. Every predictor column is z-scored; the response
-    is z-scored only when ``standardize_y`` is set.
-    """
-    if transition not in TRANSITION_LABELS:
-        raise ValueError(f"unknown transition {transition!r}")
-    if set(profiles) != set(transitions.rates):
-        raise ValueError("profiles and transitions cover different station sets")
-    if len(profiles) < 2:
-        raise ValueError("need at least 2 stations")
-    station_ids = tuple(sorted(profiles))
-    raw = np.array([profiles[s].as_row() for s in station_ids], dtype=float)
-    rate_col = transitions.column(transition)
-    y_raw = np.array([rate_col[s] for s in station_ids], dtype=float)
-    return build_frame(station_ids, raw, y_raw, transition, standardize_y)
-
-
 def build_frame(
     station_ids: Sequence[str],
     raw_predictors: np.ndarray,
@@ -492,13 +448,17 @@ def _response(y_raw: np.ndarray, standardize_y: bool) -> np.ndarray:
     return np.array(y, dtype=float)
 
 
-def load_analysis_table(text: str) -> tuple[dict[str, tuple[float, ...]], TransitionTable]:
-    """Parse a combined analysis table CSV into predictor rows and rates.
+def load_analysis_table(
+    text: str,
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Parse a combined analysis table CSV into columns.
 
-    Expected header: ``station_id``, the three transition columns, then the
-    five predictor columns. Predictor rows are returned as raw tuples (the
-    table may already be on an arbitrary scale, so no profile-level range
-    validation applies).
+    Expected header: ``ANALYSIS_TABLE_HEADER``, that is ``station_id``, the
+    three transition columns, then the five predictor columns. Returns the
+    station ids in sorted order with their (n, 3) rate array and (n, 5)
+    predictor array, rows in the same order. Predictors are returned raw
+    (the table may already be on an arbitrary scale, so no profile-level
+    range validation applies).
 
     Raises
     ------
@@ -508,20 +468,38 @@ def load_analysis_table(text: str) -> tuple[dict[str, tuple[float, ...]], Transi
     """
     reader = csv.reader(io.StringIO(text))
     header = tuple(next(reader, ()))
-    expected = ("station_id",) + TRANSITION_LABELS + PREDICTOR_NAMES
-    if header != expected:
+    if header != ANALYSIS_TABLE_HEADER:
         raise ValueError(f"bad analysis table header: {header}")
-    predictor_rows: dict[str, tuple[float, ...]] = {}
-    rates: dict[str, tuple[float, float, float]] = {}
+    width = len(ANALYSIS_TABLE_HEADER)
+    rows: dict[str, list[float]] = {}
     for row in reader:
         if not row:
             continue
         where = f"analysis table line {reader.line_num}"
-        _check_row(where, row, len(expected), predictor_rows)
-        values = _finite_numbers(where, row[1:])
-        rates[row[0]] = values[:3]
-        predictor_rows[row[0]] = values[3:]
-    return predictor_rows, TransitionTable(rates)
+        if len(row) != width:
+            raise ParseError(f"{where}: expected {width} fields, got {len(row)}")
+        if row[0] in rows:
+            raise ParseError(f"{where}: duplicate station {row[0]!r}")
+        rows[row[0]] = [_finite_number(where, cell) for cell in row[1:]]
+    station_ids = tuple(sorted(rows))
+    values = np.array([rows[s] for s in station_ids], dtype=float).reshape(-1, width - 1)
+    n_rates = len(TRANSITION_LABELS)
+    return station_ids, values[:, :n_rates].copy(), values[:, n_rates:].copy()
+
+
+def analysis_table_to_csv_text(
+    station_ids: Sequence[str], rates: np.ndarray, predictors: np.ndarray
+) -> str:
+    """Write the columns ``load_analysis_table`` returns back as CSV text.
+
+    Rows come out in the given order, so sorted ids make this the exact
+    inverse of ``load_analysis_table``: every cell is ``repr(float)`` and
+    parses back to the same double.
+    """
+    return _csv_text(
+        ANALYSIS_TABLE_HEADER,
+        ((s, (*r, *p)) for s, r, p in zip(station_ids, rates, predictors)),
+    )
 
 
 def frames_from_analysis_table(
@@ -529,45 +507,23 @@ def frames_from_analysis_table(
 ) -> dict[str, AnalysisFrame]:
     """Build one frame per transition from a combined analysis table CSV.
 
-    The predictors are standardized once: the three frames share one
-    read-only ``x`` with its source statistics and differ only in ``y``.
+    Stations are ordered by id; predictor columns follow
+    ``PREDICTOR_NAMES``. The predictors are z-scored once: the three frames
+    share one read-only ``x`` with its source statistics and differ only in
+    ``y``, which is z-scored only when ``standardize_y`` is set.
     """
-    predictor_rows, transitions = load_analysis_table(text)
-    station_ids = tuple(sorted(predictor_rows))
-    raw = np.array([predictor_rows[s] for s in station_ids], dtype=float)
-    y_raw = {}
-    for transition in TRANSITION_LABELS:
-        col = transitions.column(transition)
-        y_raw[transition] = np.array([col[s] for s in station_ids], dtype=float)
+    station_ids, rates, predictors = load_analysis_table(text)
     first = TRANSITION_LABELS[0]
-    shared = build_frame(station_ids, raw, y_raw[first], first, standardize_y)
+    shared = build_frame(station_ids, predictors, rates[:, 0], first, standardize_y)
     return {
         transition: replace(
-            shared, y=_response(y_raw[transition], standardize_y), transition=transition
+            shared, y=_response(rates[:, k], standardize_y), transition=transition
         )
-        for transition in TRANSITION_LABELS
+        for k, transition in enumerate(TRANSITION_LABELS)
     }
 
 
 def profiles_to_csv_text(profiles: Mapping[str, SocioeconomicProfile]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PROFILES_CSV_HEADER)
-    for station in sorted(profiles):
-        writer.writerow(
-            [station] + [repr(float(v)) for v in profiles[station].as_row()]
-        )
-    return buf.getvalue()
-
-
-def profiles_from_csv_text(text: str) -> dict[str, SocioeconomicProfile]:
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
-    if header != PROFILES_CSV_HEADER:
-        raise ValueError(f"bad profiles header: {header}")
-    profiles = {}
-    for row in reader:
-        if not row:
-            continue
-        profiles[row[0]] = SocioeconomicProfile(*(float(v) for v in row[1:6]))
-    return profiles
+    return _csv_text(
+        PROFILES_CSV_HEADER, ((s, profiles[s].as_row()) for s in sorted(profiles))
+    )

@@ -14,8 +14,6 @@ import io
 import json
 import math
 import threading
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -62,6 +60,11 @@ class LiveTransport:
         self.timeout_s = timeout_s
 
     def get(self, url: str) -> bytes:
+        # Imported here: urllib.request pulls in http.client, which no
+        # offline command needs.
+        import urllib.error
+        import urllib.request
+
         try:
             with urllib.request.urlopen(url, timeout=self.timeout_s) as resp:
                 return resp.read()

@@ -381,9 +381,8 @@ def _check_preprocessing(result) -> None:
               f"max |variance - 1| {worst_var:.2e}")
     )
 
-    predictor_rows, _ = fr.load_analysis_table(load_bundled_table())
-    raw = np.array([predictor_rows[s] for s in sorted(predictor_rows)])
-    var_diffs = np.abs(raw.var(axis=0) - 1.0)
+    _, _, predictors = fr.load_analysis_table(load_bundled_table())
+    var_diffs = np.abs(predictors.var(axis=0) - 1.0)
     result.checks.append(
         Check(7, "bundled table scaling", float(var_diffs.max()) <= 0.01, True,
               f"every predictor column has population variance within 0.01 of 1 "

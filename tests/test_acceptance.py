@@ -252,9 +252,8 @@ def test_criterion_7_preprocessing(table1_text, rng):
         worst_mean = max(worst_mean, abs(float(z.mean())))
         worst_var = max(worst_var, abs(float(z.var()) - 1.0))
 
-    predictor_rows, _ = load_analysis_table(table1_text)
-    raw = np.array([predictor_rows[s] for s in sorted(predictor_rows)])
-    scale_diff = float(np.abs(raw.var(axis=0) - 1.0).max())
+    _, _, predictors = load_analysis_table(table1_text)
+    scale_diff = float(np.abs(predictors.var(axis=0) - 1.0).max())
 
     telescopes = all(
         change_rate(a, b) * change_rate(b, c) == change_rate(a, c)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,12 +212,34 @@ class TestStations:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             load_stations_csv("id,lat,lon\na,1,2\n")
+        with pytest.raises(ValueError, match="bad stations header"):
+            load_stations_csv("")
 
     def test_duplicate_station_names_its_line(self):
         text = ("station_id,latitude,longitude,name\na,39.7,-105.0,A\n"
                 "b,39.8,-105.1,B\na,39.9,-105.2,A again\n")
         with pytest.raises(ParseError, match="^stations line 4: duplicate station 'a'"):
             load_stations_csv(text)
+
+    @pytest.mark.parametrize("row, message", [
+        ("a", "expected 3 or 4 fields, got 1"),
+        ("a,39.7", "expected 3 or 4 fields, got 2"),
+        ("a,39.7,-105.0,A,extra", "expected 3 or 4 fields, got 5"),
+        ("a,north,1,n", "bad coordinates 'north', '1'"),
+        ("a,39.7,", "bad coordinates '39.7', ''"),
+        ("a,91.0,0.0,A", "latitude 91.0 outside [-90, 90]"),
+        ("a,0.0,-181.0", "longitude -181.0 outside [-180, 180]"),
+        ("a,nan,0.0", "latitude nan outside [-90, 90]"),
+    ])
+    def test_bad_row_names_its_line(self, row, message):
+        text = "station_id,latitude,longitude,name\nb,39.8,-105.1,B\n" + row + "\n"
+        with pytest.raises(ParseError, match="^" + re.escape(f"stations line 3: {message}")):
+            load_stations_csv(text)
+
+    def test_name_is_optional(self):
+        text = "station_id,latitude,longitude,name\na,39.7,-105.0\nb,39.8,-105.1,B\n"
+        assert load_stations_csv(text) == [Station("a", 39.7, -105.0, ""),
+                                           Station("b", 39.8, -105.1, "B")]
 
     def test_coordinate_bounds(self):
         with pytest.raises(ValueError):

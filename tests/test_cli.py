@@ -1,10 +1,16 @@
 import csv
+import datetime as dt
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from bikepls.cli import main
-from conftest import FIXTURES
+from bikepls.frames import TRANSITION_LABELS
+from conftest import FIXTURES, REPO_ROOT
 
 
 def run_cli(*args):
@@ -21,6 +27,8 @@ class TestDerive:
             (expected / "profiles.csv").read_text()
         assert (out / "transitions.csv").read_text() == \
             (expected / "transitions.csv").read_text()
+        assert (out / "analysis_table.csv").read_text() == \
+            (expected / "analysis_table.csv").read_text()
         assert not (out / "derive_errors.csv").exists()
 
     def test_missing_schedule_exits_2(self, demo_config, tmp_path, capsys):
@@ -61,7 +69,32 @@ class TestDerive:
         assert "st_cherry" not in transitions
         profiles = (out / "profiles.csv").read_text()
         assert "st_cherry" in profiles and "st_platte" in profiles
+        # the analysis table holds only stations with both a profile and rates
+        table = (out / "analysis_table.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in table[1:]] == ["st_platte"]
         assert "st_cherry,ZeroBaseline" in capsys.readouterr().err
+
+    def test_bad_stations_row_exits_2_with_line(self, demo_config, tmp_path, capsys):
+        for row, message in (("st_extra", "expected 3 or 4 fields, got 1"),
+                             ("st_extra,north,-105.0,X", "bad coordinates")):
+            stations = tmp_path / "stations.csv"
+            stations.write_text((FIXTURES / "stations.csv").read_text() + row + "\n")
+            code = run_cli("--config", str(demo_config), "--output-dir",
+                           str(tmp_path / "out"), "derive", "--stations", str(stations))
+            assert code == 2
+            assert f"stations line 4: {message}" in capsys.readouterr().err
+
+    def test_schedule_across_new_year_exits_2(self, demo_config, tmp_path, capsys):
+        schedule = json.loads((FIXTURES / "schedule.json").read_text())
+        schedule["Transition"]["end"] = "2020-10-31"
+        schedule["Normalization"] = {"start": "2020-11-01", "end": "2021-02-28"}
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(schedule))
+        code = run_cli("--config", str(demo_config), "--output-dir",
+                       str(tmp_path / "out"), "derive", "--schedule", str(path))
+        assert code == 2
+        assert "period 'Normalization' crosses New Year" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_error_rows_have_three_fields(self, demo_config, tmp_path):
         # county_a loses one income category; its message contains a comma
@@ -83,6 +116,103 @@ class TestDerive:
         assert all(len(row) == 3 for row in parsed)
         assert {row[1] for row in parsed[1:]} == {"CategoryCountMismatch"}
         assert all("9 categories, expected 10" in row[2] for row in parsed[1:])
+
+
+def write_region(directory, rng, side=4):
+    """A side x side grid of square counties with one station at each center,
+    random census tables and random counts for 2018 and 2020; returns the
+    config path."""
+    schema = json.loads((REPO_ROOT / "src/bikepls/data/acs_schema.json").read_text())
+    tables = {
+        "acs_income": schema["income_categories"],
+        "acs_education": schema["education_levels"],
+        "acs_age": [bracket["label"] for bracket in schema["age_brackets"]],
+    }
+    cell = 0.25  # degrees; a center is 0.125 degrees (> 10 km) from every edge
+    features, stations, counties = [], [], []
+    for r in range(side):
+        for c in range(side):
+            lat, lon = 39.0 + r * cell, -105.5 + c * cell
+            name = f"county_{r}_{c}"
+            ring = [[lon, lat], [lon + cell, lat], [lon + cell, lat + cell],
+                    [lon, lat + cell], [lon, lat]]
+            features.append({"type": "Feature", "properties": {"name": name},
+                             "geometry": {"type": "Polygon", "coordinates": [ring]}})
+            stations.append(f"st_{r}_{c},{lat + cell / 2!r},{lon + cell / 2!r},Station {r} {c}")
+            counties.append(name)
+    (directory / "counties.geojson").write_text(
+        json.dumps({"type": "FeatureCollection", "features": features}))
+    (directory / "stations.csv").write_text(
+        "station_id,latitude,longitude,name\n" + "\n".join(stations) + "\n")
+    for key, labels in tables.items():
+        rows = [f"{county},{label},{int(rng.integers(50, 5000))}"
+                for county in counties for label in labels]
+        (directory / f"{key}.csv").write_text("county,label,value\n" + "\n".join(rows) + "\n")
+    rows = [f"{county},{int(rng.integers(20_000, 200_000))},{int(rng.integers(20_000, 200_000))}"
+            for county in counties]
+    (directory / "population.csv").write_text("county,male,female\n" + "\n".join(rows) + "\n")
+    config = {"schedule": str(FIXTURES / "schedule.json"), "counts_csv": []}
+    for year in (2018, 2020):
+        rows = [f"st_{r}_{c},{dt.date(year, month, day)},{int(rng.integers(20, 500))}"
+                for r in range(side) for c in range(side)
+                for month in range(1, 13) for day in (1, 10, 20)]
+        path = directory / f"counts_{year}.csv"
+        path.write_text("station_id,date,count\n" + "\n".join(rows) + "\n")
+        config["counts_csv"].append(str(path))
+    for key in ("stations", "counties", *tables, "population"):
+        suffix = ".geojson" if key == "counties" else ".csv"
+        config[key] = str(directory / f"{key}{suffix}")
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+class TestPipeline:
+    """``derive`` writes the analysis table that ``analyze`` reads."""
+
+    def derive_then_analyze(self, config, out, components, capsys):
+        assert run_cli("--config", str(config), "--output-dir", str(out), "derive") == 0
+        capsys.readouterr()
+        table = out / "analysis_table.csv"
+        assert run_cli("--output-dir", str(out), "--json", "analyze",
+                       "--components", str(components), "--input", str(table)) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert list(summary) == list(TRANSITION_LABELS)
+        assert all(entry["factors"] == components for entry in summary.values())
+        assert len(list((out / "reports").rglob("*.csv"))) == 15
+        assert len(list((out / "figures").glob("*.csv"))) == 15
+        return table.read_text().splitlines()
+
+    def test_fixtures(self, demo_config, tmp_path, capsys):
+        # two stations allow a single factor
+        rows = self.derive_then_analyze(demo_config, tmp_path / "out", 1, capsys)
+        assert [row.split(",")[0] for row in rows[1:]] == ["st_cherry", "st_platte"]
+
+    def test_synthetic_region(self, tmp_path, capsys):
+        config = write_region(tmp_path, np.random.default_rng(20210301))
+        out = tmp_path / "out"
+        rows = self.derive_then_analyze(config, out, 3, capsys)
+        assert len(rows) == 17
+        # each table row joins the station's transitions.csv and profiles.csv rows
+        rates = (out / "transitions.csv").read_text().splitlines()
+        profiles = (out / "profiles.csv").read_text().splitlines()
+        assert rows[1:] == [f"{r},{p.split(',', 1)[1]}"
+                            for r, p in zip(rates[1:], profiles[1:])]
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("module, absent", [
+        ("bikepls.cli", "numpy"),
+        ("bikepls.ingest", "urllib.request"),
+    ])
+    def test_import_leaves_module_out(self, module, absent):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = f"import sys, {module}; print({absent!r} in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestFetch:
