@@ -8,22 +8,19 @@ a CLI flag of the same name.
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime as dt
-import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-# The other layers are imported inside the commands that use them, so that
-# `--help` and argument errors never load numpy.
-from . import catchment
+# The other layers, and the standard modules only some commands need, are
+# imported inside the commands that use them, so that `--help` and argument
+# errors load neither numpy nor anything else they do not use.
 from .errors import (
     BikeplsError,
     CacheCorrupt,
-    MissingCounty,
     NetworkError,
     SingularProjection,
+    TooFewStations,
 )
 
 EXIT_OK = 0
@@ -33,12 +30,18 @@ EXIT_INVALID = 2
 _INTERNAL_ERRORS = (NetworkError, SingularProjection, CacheCorrupt)
 
 
+# Conventional bicycle catchment: 3 miles. The source material cites the
+# transit-agency catchment convention without printing a radius, so this is
+# a documented default, not a derived constant.
+DEFAULT_RADIUS_M = 4_828.0
+
+
 @dataclass
 class RunConfig:
     """Pipeline settings; JSON config file fields and CLI flags share names."""
 
     schedule: str | None = None
-    radius_m: float = catchment.DEFAULT_RADIUS_M
+    radius_m: float = DEFAULT_RADIUS_M
     components: int = 3
     standardize_y: bool = False
     input: str | None = None
@@ -67,6 +70,8 @@ class RunConfig:
 
 
 def _load_config(path: str | None, overrides: dict) -> RunConfig:
+    import json
+
     values: dict = {}
     if path is not None:
         config_path = Path(path)
@@ -122,35 +127,26 @@ def _make_transport(cfg: RunConfig):
     return ingest.fixture_transport_from_dir(directory)
 
 
-def _merged_count_series(paths: tuple[str, ...]) -> dict[str, dict]:
-    """Parse one or more counts CSVs and merge entries per station."""
-    from . import ingest
+def _read_counts(paths: tuple[str, ...]):
+    """Parse one or more counts CSVs into one set of columns, refusing a
+    (station, date) that two files both hold."""
+    from . import frames, ingest
 
-    merged: dict[str, dict[dt.date, int]] = {}
+    merged = None
     for path in paths:
         data = Path(path)
         if not data.exists():
             raise FileNotFoundError(f"counts file not found: {data}")
-        for station, series in ingest.parse_counts_csv(data.read_bytes()).items():
-            per_station = merged.setdefault(station, {})
-            for date, count in series.entries:
-                if date in per_station:
-                    raise ValueError(
-                        f"duplicate observation for ({station}, {date}) across files"
-                    )
-                per_station[date] = count
+        counts = ingest.parse_counts_csv(data.read_bytes())
+        merged = counts if merged is None else frames.merge_counts(merged, counts)
     return merged
 
 
-def _year_series(station: str, entries: dict, year: int) -> frames.CountSeries:
-    from . import frames
-
-    subset = tuple(sorted((d, c) for d, c in entries.items() if d.year == year))
-    return frames.CountSeries(station_id=station, entries=subset)
-
-
 def cmd_fetch(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
-    from . import frames, ingest
+    import datetime as dt
+    import json
+
+    from . import catchment, frames, ingest
 
     stations = catchment.load_stations_csv(_read(_require(cfg.stations, "stations"), "stations"))
     start = dt.date.fromisoformat(_require(cfg.start, "start date"))
@@ -166,12 +162,10 @@ def cmd_fetch(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
     )
     transport = _make_transport(cfg)
     series = ingest.fetch_many(source, [s.station_id for s in stations], start, end, transport)
-    lines = [",".join(frames.COUNTS_CSV_HEADER)]
-    for station in sorted(series):
-        for date, count in series[station].entries:
-            lines.append(f"{station},{date.isoformat()},{count}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "counts.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "counts.csv").write_text(
+        frames.counts_to_csv_text(series[station] for station in sorted(series))
+    )
     summary = {"stations": len(series), "rows": sum(len(s) for s in series.values())}
     print(json.dumps(summary) if as_json else
           f"fetched {summary['rows']} rows for {summary['stations']} stations")
@@ -179,7 +173,10 @@ def cmd_fetch(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
 
 def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
-    from . import frames, ingest
+    import csv
+    import json
+
+    from . import catchment, frames, ingest
 
     schedule = frames.PeriodSchedule.from_json(
         _read(_require(cfg.schedule, "schedule"), "schedule")
@@ -187,62 +184,37 @@ def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
     stations = catchment.load_stations_csv(_read(_require(cfg.stations, "stations"), "stations"))
     polygons = catchment.load_county_polygons(_read(_require(cfg.counties, "counties"), "counties"))
     schema = ingest.AcsSchema.bundled()
-    income = ingest.load_acs_table_csv(_read(_require(cfg.acs_income, "acs_income"), "income table"), "income")
-    education = ingest.load_acs_table_csv(_read(_require(cfg.acs_education, "acs_education"), "education table"), "education")
-    age = ingest.load_acs_table_csv(_read(_require(cfg.acs_age, "acs_age"), "age table"), "age")
+    age_labels = [label for label, _ in schema.age_brackets]
+    income = ingest.load_acs_table_csv(_read(_require(cfg.acs_income, "acs_income"), "income table"), "income", schema.income_categories)
+    education = ingest.load_acs_table_csv(_read(_require(cfg.acs_education, "acs_education"), "education table"), "education", schema.education_levels)
+    age = ingest.load_acs_table_csv(_read(_require(cfg.acs_age, "acs_age"), "age table"), "age", age_labels)
     population = ingest.load_population_csv(_read(_require(cfg.population, "population"), "population table"))
     if not cfg.counts_csv:
         raise ValueError("counts_csv is required for derive")
-    counts = _merged_count_series(cfg.counts_csv)
+    counts = _read_counts(cfg.counts_csv)
 
     assignments, unassigned = catchment.assign_counties(stations, polygons, cfg.radius_m)
     errors: list[tuple[str, str, str]] = []
     for station_id in unassigned:
         errors.append((station_id, "Unassigned", "no county within catchment radius"))
 
+    # Stations that touch the same counties share one profile, computed once
+    # per county set, in the order the sets first appear.
+    set_of = {s.station_id: tuple(sorted(assignments[s.station_id]))
+              for s in stations if assignments[s.station_id]}
+    county_sets = list(dict.fromkeys(set_of.values()))
+    per_set = dict(zip(county_sets, ingest.census_profiles(
+        county_sets, income, education, age, population, schema)))
     profiles: dict[str, frames.SocioeconomicProfile] = {}
-    for station in stations:
-        counties = assignments[station.station_id]
-        if not counties:
-            continue
-        try:
-            counties = sorted(counties)
-            income_counts = ingest.parse_acs_income(income, counties, schema)
-            education_counts = ingest.parse_acs_education(education, counties, schema)
-            age_counts, age_levels = ingest.parse_acs_age(age, counties, schema)
-            males = females = 0.0
-            for county in counties:
-                if county not in population:
-                    raise MissingCounty(
-                        f"population table: county {county!r} missing"
-                    )
-                males += population[county][0]
-                females += population[county][1]
-            total, ratio = frames.population_and_gender(males, females)
-            profiles[station.station_id] = frames.SocioeconomicProfile(
-                avg_income=frames.avg_income(income_counts),
-                avg_education=frames.avg_education(education_counts),
-                avg_age=frames.avg_age(age_counts, age_levels),
-                total_population=total,
-                male_female_ratio=ratio,
-            )
-        except BikeplsError as exc:
-            errors.append((station.station_id, type(exc).__name__, str(exc)))
+    for station_id, counties in set_of.items():
+        result = per_set[counties]
+        if isinstance(result, BikeplsError):
+            errors.append((station_id, type(result).__name__, str(result)))
+        else:
+            profiles[station_id] = result
 
-    rates: dict[str, tuple[float, float, float]] = {}
-    for station in stations:
-        if station.station_id not in profiles:
-            continue
-        entries = counts.get(station.station_id)
-        if not entries:
-            errors.append((station.station_id, "EmptyPeriod", "no count observations"))
-            continue
-        try:
-            s18 = _year_series(station.station_id, entries, 2018)
-            s20 = _year_series(station.station_id, entries, 2020)
-            rates[station.station_id] = frames.transition_rates(s18, s20, schedule)
-        except (BikeplsError, ValueError) as exc:
-            errors.append((station.station_id, type(exc).__name__, str(exc)))
+    rates, failures = frames.transition_rates(counts, list(profiles), schedule)
+    errors += [(sid, type(exc).__name__, str(exc)) for sid, exc in failures.items()]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "profiles.csv").write_text(frames.profiles_to_csv_text(profiles))
@@ -268,6 +240,8 @@ def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
+    import json
+
     from . import frames, plsr
     from .report import ReportBundle, bundle_to_json, render_all, write_documents
 
@@ -277,7 +251,10 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
         from .reproduce import load_bundled_table
 
         text = load_bundled_table()
-    frame_map = frames.frames_from_analysis_table(text, cfg.standardize_y)
+    try:
+        frame_map = frames.frames_from_analysis_table(text, cfg.standardize_y)
+    except TooFewStations as exc:
+        raise TooFewStations(f"{cfg.input or 'bundled table'}: {exc}") from None
     fitted = {
         label: (frame, plsr.fit(frame, cfg.components))
         for label, frame in frame_map.items()
@@ -294,9 +271,11 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
     for label in frames.TRANSITION_LABELS:
         _, model = fitted[label]
         report = plsr.variance_explained(model)
+        # a fit that stopped before its first factor explains nothing
+        cumulative = report.cumulative_y[-1] if model.n_components else 0.0
         summary[label] = {
             "factors": model.n_components,
-            "cumulative_y_variance": round(float(report.cumulative_y[-1]), 6),
+            "cumulative_y_variance": round(float(cumulative), 6),
         }
     if as_json:
         print(json.dumps(summary, indent=2))
@@ -308,6 +287,8 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
 
 def cmd_report(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
+    import json
+
     from .report import bundle_from_json, render_all, write_documents
 
     source = cfg.input or str(out_dir / "analysis.json")

@@ -22,6 +22,7 @@ from .errors import (
     EmptyPeriod,
     LengthMismatch,
     ParseError,
+    TooFewStations,
     ZeroBaseline,
     ZeroFemale,
     ZeroVariance,
@@ -49,24 +50,103 @@ TRANSITIONS_CSV_HEADER = ("station_id",) + TRANSITION_LABELS
 ANALYSIS_TABLE_HEADER = ("station_id",) + TRANSITION_LABELS + PREDICTOR_NAMES
 
 
-@dataclass(frozen=True)
-class CountSeries:
-    """Dated bicycle counts for one station, strictly date-ordered."""
+# Day ordinals (``date.toordinal``) stay below 2**22, so a (station, day)
+# pair packs into one int64 key.
+_DAY_BITS = 22
 
-    station_id: str
-    entries: tuple[tuple[dt.date, int], ...]
 
-    def __post_init__(self):
-        prev = None
-        for date, count in self.entries:
-            if count < 0:
-                raise ValueError(f"negative count {count} on {date}")
-            if prev is not None and date <= prev:
-                raise ValueError(f"dates not strictly increasing at {date}")
-            prev = date
+@dataclass(frozen=True, eq=False)
+class Counts:
+    """Daily bicycle counts as columns, one row per (station, day).
+
+    ``station`` indexes ``station_ids``, which are in order of first
+    appearance; ``day`` holds date ordinals (``date.toordinal``) and
+    ``count`` the non-negative totals, int64 (object when a count does not
+    fit 31 bits, so that period totals stay exact). Rows are sorted by
+    (station, day), with no pair twice.
+    """
+
+    station_ids: tuple[str, ...]
+    station: np.ndarray
+    day: np.ndarray
+    count: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.day)
+
+    def keys(self) -> np.ndarray:
+        """The sorted (station, day) pairs, one int64 per row."""
+        return (self.station << _DAY_BITS) | self.day
+
+    def only(self, station_id: str) -> "Counts":
+        """The rows of one station, which must be present."""
+        k = self.station_ids.index(station_id)
+        lo, hi = np.searchsorted(self.station, [k, k + 1])
+        return Counts((station_id,), np.zeros(hi - lo, dtype=np.int64), self.day[lo:hi],
+                      self.count[lo:hi])
+
+
+def sorted_counts(station_ids: Sequence[str], station: np.ndarray, day: np.ndarray,
+                  count: np.ndarray) -> tuple[Counts, int | None]:
+    """Sort rows into ``Counts``; also return the index of the first row
+    (in the given order) that repeats an earlier row's (station, day), or
+    None when no pair repeats."""
+    keys = (station << _DAY_BITS) | day
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    counts = Counts(tuple(station_ids), station[order], day[order], count[order])
+    return counts, (int(repeats.min()) if len(repeats) else None)
+
+
+def merge_counts(first: Counts, second: Counts) -> Counts:
+    """Rows of both, for counts split across files.
+
+    Raises
+    ------
+    ValueError
+        Naming the first (station, date) of ``second`` that ``first`` also
+        holds, in (station by first appearance, date) order, as a per-station
+        merge finds it.
+    """
+    ids = dict.fromkeys(first.station_ids + second.station_ids)
+    code = {station: k for k, station in enumerate(ids)}
+    station = np.array([code[s] for s in second.station_ids], dtype=np.int64)[second.station]
+    held = first.keys()
+    keys = (station << _DAY_BITS) | second.day
+    at = np.searchsorted(held, keys)
+    shared = at < len(held)
+    shared[shared] = held[at[shared]] == keys[shared]
+    if shared.any():
+        row = int(np.argmax(shared))
+        raise ValueError(
+            f"duplicate observation for ({second.station_ids[second.station[row]]}, "
+            f"{dt.date.fromordinal(int(second.day[row]))}) across files"
+        )
+    merged, _ = sorted_counts(
+        tuple(ids),
+        np.concatenate([first.station, station]),
+        np.concatenate([first.day, second.day]),
+        np.concatenate([first.count, second.count]),
+    )
+    return merged
+
+
+def counts_to_csv_text(parts: Iterable[Counts]) -> str:
+    """The counts CSV of ``parts``, one after another, rows in their order.
+
+    Station ids are written as they are, unquoted.
+    """
+    iso: dict[int, str] = {}
+    lines = [",".join(COUNTS_CSV_HEADER) + "\n"]
+    for counts in parts:
+        days = counts.day.tolist()
+        for day in set(days).difference(iso):
+            iso[day] = dt.date.fromordinal(day).isoformat()
+        ids = counts.station_ids
+        lines += [f"{ids[k]},{iso[d]},{c}\n"
+                  for k, d, c in zip(counts.station.tolist(), days, counts.count.tolist())]
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -270,29 +350,30 @@ def change_rate(n_t: float, n_prev: float) -> float:
 
 
 def period_totals(
-    series: CountSeries, schedule: PeriodSchedule, year: int
-) -> dict[str, int]:
-    """Sum counts per period, with each window mapped onto ``year``.
+    counts: Counts, schedule: PeriodSchedule, year: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum counts per station and period, with each window mapped onto ``year``.
 
-    Raises
-    ------
-    EmptyPeriod
-        If any window contains no observation for the station.
+    Returns two (stations x periods) arrays, stations in
+    ``counts.station_ids`` order and periods in schedule order: the totals
+    and the number of rows each total holds.
     """
-    if len(series) == 0:
-        raise ValueError(f"station {series.station_id!r} has no observations")
-    totals: dict[str, int] = {}
-    for label, start, end in schedule.periods:
-        w_start = _map_to_year(start, year)
-        w_end = _map_to_year(end, year)
-        in_window = [count for date, count in series.entries if w_start <= date <= w_end]
-        if not in_window:
-            raise EmptyPeriod(
-                f"station {series.station_id!r} has no observations in "
-                f"{label!r} ({w_start}..{w_end})"
-            )
-        totals[label] = sum(in_window)
-    return totals
+    windows = [(_map_to_year(start, year), _map_to_year(end, year))
+               for _, start, end in schedule.periods]
+    lo, hi = _window_rows(counts, [w.toordinal() for w, _ in windows],
+                          [w.toordinal() for _, w in windows])
+    cumulative = np.concatenate([np.zeros(1, dtype=counts.count.dtype), np.cumsum(counts.count)])
+    return cumulative[hi] - cumulative[lo], hi - lo
+
+
+def _window_rows(counts: Counts, first_days, last_days) -> tuple[np.ndarray, np.ndarray]:
+    """Row bounds ``[lo, hi)`` of each station's rows within each window of
+    days, as two (stations x windows) arrays."""
+    base = np.arange(len(counts.station_ids), dtype=np.int64)[:, None] << _DAY_BITS
+    keys = counts.keys()
+    lo = np.searchsorted(keys, base | np.array(first_days, dtype=np.int64), side="left")
+    hi = np.searchsorted(keys, base | np.array(last_days, dtype=np.int64), side="right")
+    return lo, hi
 
 
 def _map_to_year(date: dt.date, year: int) -> dt.date:
@@ -304,42 +385,67 @@ def _map_to_year(date: dt.date, year: int) -> dt.date:
 
 
 def transition_rates(
-    series_2018: CountSeries,
-    series_2020: CountSeries,
-    schedule: PeriodSchedule,
-    mode: str = "ratio_of_ratios",
-) -> tuple[float, float, float]:
+    counts: Counts, station_ids: Sequence[str], schedule: PeriodSchedule
+) -> tuple[dict[str, tuple[float, float, float]], dict[str, Exception]]:
     """Change rates across the three consecutive period transitions.
 
-    Each period's year-over-year ratio is total_2020 / total_2018. The
-    default ``ratio_of_ratios`` mode divides consecutive year-over-year
-    ratios; ``yoy`` instead reports the later period's ratio directly.
-
-    Raises
-    ------
-    ZeroBaseline
-        If any denominator along the way is zero.
+    Each period's year-over-year ratio is total_2020 / total_2018, and each
+    transition's rate divides the later period's ratio by the earlier's.
+    Returns the rates of every station in ``station_ids`` that has them,
+    and for each other station the first reason it has none, checked in
+    this order: no rows; no rows in 2018 (``ValueError``); an empty 2018
+    window (``EmptyPeriod``); the same two for 2020; a zero 2018 total and
+    then a zero year-over-year ratio (``ZeroBaseline``), period by period.
     """
-    if mode not in ("ratio_of_ratios", "yoy"):
-        raise ValueError(f"unknown mode {mode!r}")
-    totals_2018 = period_totals(series_2018, schedule, 2018)
-    totals_2020 = period_totals(series_2020, schedule, 2020)
-    yoy = {
-        label: change_rate(totals_2020[label], totals_2018[label])
-        for label in PERIOD_LABELS
+    index = {station: k for k, station in enumerate(counts.station_ids)}
+    present = [station for station in station_ids if station in index]
+    rows = np.array([index[station] for station in present], dtype=np.int64)
+    per_year = []
+    for year in (2018, 2020):
+        totals, sizes = period_totals(counts, schedule, year)
+        lo, hi = _window_rows(counts, [dt.date(year, 1, 1).toordinal()],
+                              [dt.date(year, 12, 31).toordinal()])
+        per_year.append(((hi - lo)[rows, 0], sizes[rows], totals[rows]))
+    (in_2018, sizes_2018, t18), (in_2020, sizes_2020, t20) = per_year
+    valid = ((in_2018 > 0) & (sizes_2018 > 0).all(axis=1) & (in_2020 > 0)
+             & (sizes_2020 > 0).all(axis=1) & (t18 > 0).all(axis=1))
+    yoy = np.asarray(t20[valid] / t18[valid], dtype=float).reshape(-1, len(PERIOD_LABELS))
+    nonzero = (yoy[:, :-1] != 0).all(axis=1)
+    ok = valid.copy()
+    ok[valid] = nonzero
+    rates = dict(zip([present[k] for k in np.flatnonzero(ok).tolist()],
+                     map(tuple, (yoy[nonzero, 1:] / yoy[nonzero, :-1]).tolist())))
+
+    failures: dict[str, Exception] = {}
+    for k in np.flatnonzero(~ok).tolist():
+        failures[present[k]] = _first_failure(
+            present[k], schedule, *((n[k], sizes[k], t[k]) for n, sizes, t in per_year))
+    return rates, {
+        station: failures.get(station) or EmptyPeriod("no count observations")
+        for station in station_ids if station not in rates
     }
-    rates = []
-    for earlier, later in zip(PERIOD_LABELS, PERIOD_LABELS[1:]):
-        if mode == "yoy":
-            rates.append(yoy[later])
-        else:
-            if yoy[earlier] == 0:
-                raise ZeroBaseline(
-                    f"year-over-year ratio for {earlier!r} is zero; "
-                    "transition rate undefined"
+
+
+def _first_failure(station: str, schedule: PeriodSchedule, *per_year) -> Exception:
+    """The reason a station with rows has no rates, from its row count,
+    window sizes and window totals in 2018 and in 2020."""
+    for year, (in_year, sizes, _) in zip((2018, 2020), per_year):
+        if in_year == 0:
+            return ValueError(f"station {station!r} has no observations")
+        for (label, start, end), size in zip(schedule.periods, sizes):
+            if size == 0:
+                return EmptyPeriod(
+                    f"station {station!r} has no observations in "
+                    f"{label!r} ({_map_to_year(start, year)}..{_map_to_year(end, year)})"
                 )
-            rates.append(yoy[later] / yoy[earlier])
-    return tuple(rates)
+    (_, _, t18), (_, _, t20) = per_year
+    if not all(t18):
+        return ZeroBaseline("change rate undefined: previous period total is zero")
+    yoy = [a / b for a, b in zip(t20.tolist(), t18.tolist())]
+    earlier = PERIOD_LABELS[yoy[:-1].index(0)]
+    return ZeroBaseline(
+        f"year-over-year ratio for {earlier!r} is zero; transition rate undefined"
+    )
 
 
 def standardize(column: Sequence[float]) -> StandardizedColumn:
@@ -511,8 +617,17 @@ def frames_from_analysis_table(
     ``PREDICTOR_NAMES``. The predictors are z-scored once: the three frames
     share one read-only ``x`` with its source statistics and differ only in
     ``y``, which is z-scored only when ``standardize_y`` is set.
+
+    Raises
+    ------
+    TooFewStations
+        If the table holds fewer than two stations.
     """
     station_ids, rates, predictors = load_analysis_table(text)
+    if len(station_ids) < 2:
+        raise TooFewStations(
+            f"the analysis table has {len(station_ids)} station(s); a fit needs at least 2"
+        )
     first = TRANSITION_LABELS[0]
     shared = build_frame(station_ids, predictors, rates[:, 0], first, standardize_y)
     return {

@@ -1,24 +1,107 @@
 import json
 import math
 import re
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bikepls.catchment import (
-    DEFAULT_RADIUS_M,
     EARTH_RADIUS_M,
-    CatchmentCircle,
     CountyPolygon,
     Station,
     assign_counties,
-    circle_touches_polygon,
     load_county_polygons,
     load_stations_csv,
 )
+from bikepls.cli import DEFAULT_RADIUS_M
 from bikepls.errors import DegeneratePolygon, ParseError, UnsupportedGeometry
 
 DEG_LAT_M = 111_194.9  # one degree of latitude on the working sphere
+
+
+# --- scalar oracle: one circle against one polygon, edge by edge -------------
+
+@dataclass(frozen=True)
+class CatchmentCircle:
+    center: Station
+    radius_m: float
+
+    def __post_init__(self):
+        if self.radius_m <= 0:
+            raise ValueError("radius must be positive")
+
+
+def _wrap(delta: float) -> float:
+    if delta >= 180.0:
+        return delta - 360.0
+    if delta < -180.0:
+        return delta + 360.0
+    return delta
+
+
+def _project_local(ring, lat0: float, lon0: float) -> list[tuple[float, float]]:
+    """Equirectangular projection (meters) about a reference point, with
+    longitude differences wrapped into [-180, 180)."""
+    cos0 = math.cos(math.radians(lat0))
+    return [
+        (
+            EARTH_RADIUS_M * math.radians(_wrap(lon - lon0)) * cos0,
+            EARTH_RADIUS_M * math.radians(lat - lat0),
+        )
+        for lat, lon in ring
+    ]
+
+
+def _point_in_ring(xy: Sequence[tuple[float, float]]) -> bool:
+    """Even-odd rule for the origin against a projected ring."""
+    inside = False
+    n = len(xy)
+    for i in range(n):
+        x1, y1 = xy[i]
+        x2, y2 = xy[(i + 1) % n]
+        if (y1 > 0) != (y2 > 0):
+            x_cross = x1 + (0 - y1) * (x2 - x1) / (y2 - y1)
+            if x_cross > 0:
+                inside = not inside
+    return inside
+
+
+def _segment_distance(x1, y1, x2, y2) -> float:
+    """Distance from the origin to the segment (x1,y1)-(x2,y2)."""
+    dx, dy = x2 - x1, y2 - y1
+    seg_sq = dx * dx + dy * dy
+    if seg_sq == 0:
+        return math.hypot(x1, y1)
+    s = max(0.0, min(1.0, -(x1 * dx + y1 * dy) / seg_sq))
+    return math.hypot(x1 + s * dx, y1 + s * dy)
+
+
+def edge_distance(center: Station, polygon: CountyPolygon) -> float:
+    """Smallest distance from the center to an edge of the projected ring."""
+    xy = _project_local(polygon.ring, center.latitude, center.longitude)
+    n = len(xy)
+    return min(_segment_distance(*xy[i], *xy[(i + 1) % n]) for i in range(n))
+
+
+def circle_touches_polygon(circle: CatchmentCircle, polygon: CountyPolygon) -> bool:
+    """True iff the center lies inside the ring or any edge is within radius."""
+    xy = _project_local(polygon.ring, circle.center.latitude, circle.center.longitude)
+    if _point_in_ring(xy):
+        return True
+    return edge_distance(circle.center, polygon) <= circle.radius_m
+
+
+def oracle_assignment(stations, polygons, radius_m):
+    """``assign_counties`` computed pair by pair with the scalar oracle."""
+    return {
+        s.station_id: frozenset(p.name for p in polygons
+                                if circle_touches_polygon(CatchmentCircle(s, radius_m), p))
+        for s in stations
+    }
 
 
 def haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -151,6 +234,110 @@ class TestAssignCounties:
             assign_counties([], [], 1000.0)
 
 
+def wrap_lon(lon: float) -> float:
+    return (lon + 180.0) % 360.0 - 180.0
+
+
+def star_polygon(rng, name, lat, lon, size_deg, n):
+    """A ring of ``n`` vertices at sorted angles about (lat, lon), each
+    vertex longitude wrapped into [-180, 180)."""
+    angles = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+    radii = rng.uniform(0.2, 1.0, n) * size_deg
+    return CountyPolygon(name, tuple(
+        (lat + r * math.sin(a), wrap_lon(lon + r * math.cos(a)))
+        for a, r in zip(angles.tolist(), radii.tolist())
+    ))
+
+
+def random_region(rng, lat, lon, n_stations=12, n_polygons=8):
+    stations = [Station(f"s{i}", lat + rng.uniform(-0.5, 0.5),
+                        wrap_lon(lon + rng.uniform(-0.5, 0.5)))
+                for i in range(n_stations)]
+    polygons = [star_polygon(rng, f"c{j}", lat + rng.uniform(-0.5, 0.5),
+                             lon + rng.uniform(-0.5, 0.5), rng.uniform(0.02, 0.3),
+                             int(rng.integers(3, 40)))
+                for j in range(n_polygons)]
+    return stations, polygons
+
+
+class TestKernelAgainstOracle:
+    """``assign_counties`` decides every pair as the scalar oracle does."""
+
+    @pytest.mark.parametrize("lon", [-105.0, 0.0, 179.8, -179.8, 180.0])
+    def test_random_regions(self, rng, lon):
+        for _ in range(25):
+            stations, polygons = random_region(rng, rng.uniform(-60, 60), lon)
+            radius = float(rng.uniform(200.0, 30_000.0))
+            assignments, unassigned = assign_counties(stations, polygons, radius)
+            assert assignments == oracle_assignment(stations, polygons, radius)
+            assert unassigned == tuple(s.station_id for s in stations
+                                       if not assignments[s.station_id])
+
+    @pytest.mark.parametrize("lon", [-105.0, 179.95, -179.95])
+    def test_circles_that_just_touch_or_just_miss(self, rng, lon):
+        checked = 0
+        while checked < 60:
+            stations, polygons = random_region(rng, rng.uniform(-60, 60), lon, 1, 1)
+            station, polygon = stations[0], polygons[0]
+            if checked % 2:
+                # a box's nearest edge lies on its lat/lon bounds, which the
+                # prefilter measures with other rounding
+                lat, lon0 = polygon.ring[0]
+                half = rng.uniform(0.01, 0.2)
+                polygon = square("box", lat - half, lat + half, wrap_lon(lon0 - half),
+                                 wrap_lon(lon0 + half))
+            if circle_touches_polygon(CatchmentCircle(station, 1e-9), polygon):
+                continue  # the center is inside
+            d = edge_distance(station, polygon)
+            below = float(np.nextafter(d, 0.0))
+            for radius, touched in ((d, True), (below, False)):
+                assert circle_touches_polygon(CatchmentCircle(station, radius), polygon) == touched
+                assignments, _ = assign_counties([station], [polygon], radius)
+                assert assignments[station.station_id] == (
+                    frozenset({polygon.name}) if touched else frozenset())
+            checked += 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(lat=st.floats(-80, 80), lon=st.floats(-180, 180),
+           dlat=st.floats(-0.2, 0.2), dlon=st.floats(-0.2, 0.2),
+           half=st.floats(0.001, 0.1), radius=st.floats(1.0, 20_000.0))
+    def test_squares(self, lat, lon, dlat, dlon, half, radius):
+        station = Station("s", lat, lon)
+        c_lat, c_lon = max(-85.0, min(85.0, lat + dlat)), lon + dlon
+        poly = CountyPolygon("c", (
+            (c_lat - half, wrap_lon(c_lon - half)), (c_lat - half, wrap_lon(c_lon + half)),
+            (c_lat + half, wrap_lon(c_lon + half)), (c_lat + half, wrap_lon(c_lon - half)),
+        ))
+        assignments, _ = assign_counties([station], [poly], radius)
+        assert assignments == oracle_assignment([station], [poly], radius)
+
+
+class TestAntimeridian:
+    def test_county_across_the_antimeridian_is_reached(self):
+        # about 1.4 km east of the station, on the other side of 180 degrees
+        east = square("east", 51.95, 52.05, -179.99, -179.90)
+        station = Station("s", 52.0, 179.99)
+        assert assign_counties([station], [east], DEFAULT_RADIUS_M)[0] == {"s": frozenset({"east"})}
+        assert edge_distance(station, east) == pytest.approx(1_369.0, abs=5.0)
+
+    def test_mirror_image_is_reached(self):
+        west = square("west", 51.95, 52.05, 179.90, 179.99)
+        station = Station("s", 52.0, -179.99)
+        assert assign_counties([station], [west], DEFAULT_RADIUS_M)[0] == {"s": frozenset({"west"})}
+
+    def test_same_shape_away_from_the_antimeridian(self):
+        # the control: the same geometry moved to longitude 10
+        east = square("east", 51.95, 52.05, 10.01, 10.10)
+        assert assign_counties([Station("s", 52.0, 9.99)], [east], DEFAULT_RADIUS_M)[0] == \
+            {"s": frozenset({"east"})}
+
+    def test_far_side_of_the_globe_is_not_reached(self):
+        far = square("far", 51.95, 52.05, 0.01, 0.10)
+        assignments, unassigned = assign_counties(
+            [Station("s", 52.0, 179.99)], [far], DEFAULT_RADIUS_M)
+        assert unassigned == ("s",)
+
+
 GEOJSON = {
     "type": "FeatureCollection",
     "features": [
@@ -248,5 +435,7 @@ class TestStations:
             Station("bad", 0.0, 181.0)
 
     def test_radius_positive(self):
-        with pytest.raises(ValueError):
-            CatchmentCircle(CENTER, 0.0)
+        poly = square("home", 39.60, 39.80, -105.10, -104.90)
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                assign_counties([CENTER], [poly], radius)

@@ -2,11 +2,16 @@ import csv
 import datetime as dt
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bikepls.cli import main
 from bikepls.frames import TRANSITION_LABELS
@@ -95,6 +100,19 @@ class TestDerive:
         assert code == 2
         assert "period 'Normalization' crosses New Year" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, message", [
+        ("acs_income", "table income: bad header ()"),
+        ("acs_age", "table age: bad header ()"),
+        ("population", "bad population header: ()"),
+    ])
+    def test_empty_census_file_exits_2(self, demo_config, tmp_path, capsys, key, message):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code = run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "out"),
+                       "derive", "--" + key.replace("_", "-"), str(empty))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_error_rows_have_three_fields(self, demo_config, tmp_path):
         # county_a loses one income category; its message contains a comma
@@ -204,6 +222,7 @@ class TestColdStart:
     @pytest.mark.parametrize("module, absent", [
         ("bikepls.cli", "numpy"),
         ("bikepls.ingest", "urllib.request"),
+        ("bikepls.cli", "bikepls.catchment"),
     ])
     def test_import_leaves_module_out(self, module, absent):
         env = dict(os.environ)
@@ -284,6 +303,36 @@ class TestAnalyze:
                        "--input", str(table))
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_factor_fit_reports_zero(self, table1_text, tmp_path, capsys):
+        # a constant response leaves nothing to explain: no factor is extracted
+        rows = [line.split(",") for line in table1_text.strip().splitlines()]
+        for row in rows[1:]:
+            row[2] = "1.0"
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", str(out), "--json", "analyze",
+                       "--input", str(table)) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["pandemic_to_transition"] == {"factors": 0,
+                                                     "cumulative_y_variance": 0.0}
+        assert summary["pre_pandemic_to_pandemic"]["factors"] == 3
+        assert (out / "analysis.json").exists()
+
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_too_few_stations_names_table_and_count(self, table1_text, tmp_path, capsys,
+                                                    keep):
+        lines = table1_text.strip().splitlines()
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(lines[: 1 + keep]) + "\n")
+        code = run_cli("--output-dir", str(tmp_path / "out"), "analyze",
+                       "--input", str(table))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {table}: the analysis table has {keep} station(s); "
+            "a fit needs at least 2\n")
         assert not (tmp_path / "out").exists()
 
     def test_invalid_components_config(self, tmp_path):
@@ -420,3 +469,118 @@ class TestConfigHandling:
     def test_invalid_transport_exits_2(self, tmp_path):
         assert run_cli("--output-dir", str(tmp_path / "out"), "fetch",
                        "--transport", "carrier-pigeon") == 2
+
+
+def random_region_lines(rng: random.Random) -> dict[str, list[str]]:
+    """The rows of every derive input for a small random region: 3 x 3
+    counties of 0.05 degrees (under two catchment radii), stations anywhere
+    on them, census and count rows that leave some stations failing."""
+    schema = json.loads((REPO_ROOT / "src/bikepls/data/acs_schema.json").read_text())
+    tables = {
+        "acs_income": schema["income_categories"],
+        "acs_education": schema["education_levels"],
+        "acs_age": [bracket["label"] for bracket in schema["age_brackets"]],
+    }
+    cell = 0.05
+    counties = [(f"c{r}{c}", 39.0 + r * cell, -105.0 + c * cell)
+                for r in range(3) for c in range(3)]
+    lines: dict[str, list[str]] = {"counties": []}
+    for name, lat, lon in counties:
+        ring = [[lon, lat], [lon + cell, lat], [lon + cell, lat + cell], [lon, lat + cell],
+                [lon, lat]]
+        lines["counties"].append(json.dumps(
+            {"type": "Feature", "properties": {"name": name},
+             "geometry": {"type": "Polygon", "coordinates": [ring]}}))
+    stations = [f"s{k:02d}" for k in range(14)]
+    lines["stations"] = [
+        f"{sid},{39.0 + rng.uniform(-0.02, 0.17)!r},{-105.0 + rng.uniform(-0.02, 0.17)!r},{sid}"
+        for sid in stations]
+    for key, labels in tables.items():
+        lines[key] = [f"{name},{label},{rng.randint(0, 900)}"
+                      for name, _, _ in counties if rng.random() > 0.01 for label in labels]
+    lines["population"] = [f"{name},{rng.randint(1, 9000)},{rng.randint(0, 9000)}"
+                           for name, _, _ in counties if rng.random() > 0.01]
+    lines["counts"] = []
+    for sid in stations:
+        zeros = rng.choice([0.0, 0.0, 0.0, 0.3, 1.0])
+        for year in (2018, 2019, 2020):
+            start = dt.date(year, 1, 1)
+            days = rng.sample(range(365), rng.choice([0, 3, 30] + [200] * 9))
+            lines["counts"] += [
+                f"{sid},{start + dt.timedelta(days=k)},"
+                f"{0 if rng.random() < zeros else rng.randint(1, 90)}" for k in days]
+    return lines
+
+
+HEADERS = {
+    "stations": "station_id,latitude,longitude,name",
+    "acs_income": "county,label,value",
+    "acs_education": "county,label,value",
+    "acs_age": "county,label,value",
+    "population": "county,male,female",
+}
+
+
+def derive_outputs(directory: Path, lines: dict[str, list[str]], shuffle: random.Random | None,
+                   split: bool) -> dict[str, bytes]:
+    """Write the inputs (rows shuffled when ``shuffle`` is given, counts in
+    two files when ``split``), run derive, and return its exit code, its
+    standard output and every file it wrote."""
+    directory.mkdir()
+    def rows(key):
+        out = list(lines[key])
+        if shuffle is not None:
+            shuffle.shuffle(out)
+        return out
+    config = {"schedule": str(FIXTURES / "schedule.json"), "counts_csv": []}
+    for key, header in HEADERS.items():
+        path = directory / f"{key}.csv"
+        path.write_text("\n".join([header] + rows(key)) + "\n")
+        config[key] = str(path)
+    path = directory / "counties.geojson"
+    path.write_text('{"type": "FeatureCollection", "features": [' + ",".join(rows("counties")) + "]}")
+    config["counties"] = str(path)
+    counts = rows("counts")
+    parts = [counts[: len(counts) // 3], counts[len(counts) // 3:]] if split else [counts]
+    for k, part in enumerate(parts):
+        path = directory / f"counts_{k}.csv"
+        path.write_text("\n".join(["station_id,date,count"] + part) + "\n")
+        config["counts_csv"].append(str(path))
+    (directory / "config.json").write_text(json.dumps(config))
+    out = directory / "out"
+    code = run_cli("--config", str(directory / "config.json"), "--output-dir", str(out),
+                   "--json", "derive")
+    written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return {"exit": code, **written}
+
+
+class TestDeriveRelations:
+    """Input row order, county feature order and splitting the counts across
+    files leave every derive output byte unchanged."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(region=st.integers(0, 2**32 - 1), shuffle=st.integers(0, 2**32 - 1),
+           split=st.booleans())
+    def test_order_and_split_leave_outputs_unchanged(self, region, shuffle, split):
+        lines = random_region_lines(random.Random(region))
+        with tempfile.TemporaryDirectory() as tmp:
+            base = derive_outputs(Path(tmp) / "base", lines, None, False)
+            moved = derive_outputs(Path(tmp) / "moved", lines, random.Random(shuffle), split)
+        assert set(base) >= {"exit", "profiles.csv", "transitions.csv", "analysis_table.csv"}
+        assert moved == base
+
+    def test_regions_exercise_failures_and_shared_sets(self):
+        # the generator gives regions where stations fail and share sets
+        kinds, rows, shared = set(), 0, 0
+        for seed in range(6):
+            with tempfile.TemporaryDirectory() as tmp:
+                out = derive_outputs(Path(tmp) / "r", random_region_lines(random.Random(seed)),
+                                     None, False)
+            errors = out.get("derive_errors.csv", b"").decode().splitlines()[1:]
+            kinds |= {row.split(",")[1] for row in errors}
+            rows += len(out["analysis_table.csv"].decode().splitlines()) - 1
+            profiles = [line.split(",", 1)[1]
+                        for line in out["profiles.csv"].decode().splitlines()[1:]]
+            shared += len(profiles) - len(set(profiles))
+        assert {"EmptyPeriod", "ZeroBaseline", "MissingCounty"} <= kinds
+        assert rows > 20 and shared > 5

@@ -22,7 +22,7 @@ from bikepls.frames import (
     PREDICTOR_NAMES,
     TRANSITION_LABELS,
     AnalysisFrame,
-    CountSeries,
+    Counts,
     PeriodSchedule,
     SocioeconomicProfile,
     TransitionTable,
@@ -34,12 +34,14 @@ from bikepls.frames import (
     change_rate,
     frames_from_analysis_table,
     load_analysis_table,
+    merge_counts,
     period_totals,
     population_and_gender,
     profiles_to_csv_text,
     standardize,
     transition_rates,
 )
+from bikepls.ingest import parse_counts_csv
 from conftest import SPECIAL_VALUES
 
 
@@ -47,8 +49,14 @@ def d(text):
     return dt.date.fromisoformat(text)
 
 
+def counts_of(rows) -> Counts:
+    """Columns parsed from ``(station, iso date, count)`` rows."""
+    text = "station_id,date,count\n" + "".join(f"{s},{day},{c}\n" for s, day, c in rows)
+    return parse_counts_csv(text.encode())
+
+
 def series(station, *pairs):
-    return CountSeries(station, tuple((d(day), count) for day, count in pairs))
+    return [(station, day, count) for day, count in pairs]
 
 
 SCHEDULE = PeriodSchedule.from_mapping(
@@ -94,26 +102,33 @@ class TestPeriodTotals:
             ("2020-06-10", 20), ("2020-07-10", 30),
             ("2020-10-01", 7),
         )
-        totals = period_totals(s, SCHEDULE, 2020)
-        assert totals["Pre-Pandemic"] == 12
-        assert totals["Pandemic"] == 10
-        assert totals["Transition"] == 50
-        assert totals["Normalization"] == 7
+        totals, sizes = period_totals(counts_of(s), SCHEDULE, 2020)
+        assert totals.tolist() == [[12, 10, 50, 7]]
+        assert sizes.tolist() == [[3, 1, 2, 1]]
 
     def test_empty_window(self):
         s = series("s1", ("2020-01-05", 3), ("2020-04-10", 1), ("2020-06-10", 1))
-        with pytest.raises(EmptyPeriod, match="Normalization"):
-            period_totals(s, SCHEDULE, 2020)
+        _, sizes = period_totals(counts_of(s), SCHEDULE, 2020)
+        assert sizes.tolist() == [[1, 1, 1, 0]]
+        s18 = series("s1", *((day, 1) for day in ("2018-01-15", "2018-04-15",
+                                                  "2018-07-15", "2018-10-15")))
+        _, failures = transition_rates(counts_of(s18 + s), ["s1"], SCHEDULE)
+        assert isinstance(failures["s1"], EmptyPeriod)
+        assert str(failures["s1"]) == ("station 's1' has no observations in "
+                                       "'Normalization' (2020-09-01..2020-12-31)")
 
     def test_year_mapping(self):
         s = series("s1", ("2018-01-05", 2), ("2018-04-10", 1),
                    ("2018-06-10", 1), ("2018-10-01", 1))
-        totals = period_totals(s, SCHEDULE, 2018)
-        assert totals["Pre-Pandemic"] == 2
+        totals, _ = period_totals(counts_of(s), SCHEDULE, 2018)
+        assert totals[0, 0] == 2
 
     def test_empty_series_invalid(self):
-        with pytest.raises(ValueError):
-            period_totals(CountSeries("s1", ()), SCHEDULE, 2020)
+        # a station with rows, but none in 2020
+        s18, _ = _two_year_series((1, 1, 1, 1), (1, 1, 1, 1))
+        _, failures = transition_rates(counts_of(s18), ["s"], SCHEDULE)
+        assert type(failures["s"]) is ValueError
+        assert str(failures["s"]) == "station 's' has no observations"
 
 
 def _two_year_series(totals_2018, totals_2020):
@@ -124,31 +139,186 @@ def _two_year_series(totals_2018, totals_2020):
     return s18, s20
 
 
+def rates_of(totals_2018, totals_2020):
+    s18, s20 = _two_year_series(totals_2018, totals_2020)
+    return transition_rates(counts_of(s18 + s20), ["s"], SCHEDULE)
+
+
 class TestTransitionRates:
     def test_no_change(self):
-        s18, s20 = _two_year_series((10, 10, 10, 10), (10, 10, 10, 10))
-        assert transition_rates(s18, s20, SCHEDULE) == (1.0, 1.0, 1.0)
+        rates, failures = rates_of((10, 10, 10, 10), (10, 10, 10, 10))
+        assert rates == {"s": (1.0, 1.0, 1.0)} and failures == {}
 
     def test_consecutive_ratios(self):
         # year-over-year ratios (1, 2, 1, 3) -> (2, 0.5, 3)
-        s18, s20 = _two_year_series((10, 10, 10, 10), (10, 20, 10, 30))
-        rates = transition_rates(s18, s20, SCHEDULE)
-        assert rates == pytest.approx((2.0, 0.5, 3.0))
+        rates, _ = rates_of((10, 10, 10, 10), (10, 20, 10, 30))
+        assert rates["s"] == pytest.approx((2.0, 0.5, 3.0))
 
     def test_zero_baseline_propagates(self):
-        s18, s20 = _two_year_series((10, 0, 10, 10), (10, 20, 10, 30))
-        with pytest.raises(ZeroBaseline):
-            transition_rates(s18, s20, SCHEDULE)
+        rates, failures = rates_of((10, 0, 10, 10), (10, 20, 10, 30))
+        assert rates == {}
+        assert isinstance(failures["s"], ZeroBaseline)
 
-    def test_yoy_mode(self):
-        s18, s20 = _two_year_series((10, 10, 10, 10), (10, 20, 10, 30))
-        assert transition_rates(s18, s20, SCHEDULE, mode="yoy") == \
-            pytest.approx((2.0, 1.0, 3.0))
+    def test_zero_year_over_year_ratio(self):
+        rates, failures = rates_of((10, 10, 10, 10), (10, 0, 10, 30))
+        assert rates == {}
+        assert str(failures["s"]) == ("year-over-year ratio for 'Pandemic' is zero; "
+                                      "transition rate undefined")
+        # a zero ratio in the last period divides nothing
+        rates, failures = rates_of((10, 10, 10, 10), (10, 10, 10, 0))
+        assert rates == {"s": (1.0, 1.0, 0.0)} and failures == {}
 
-    def test_unknown_mode(self):
-        s18, s20 = _two_year_series((1, 1, 1, 1), (1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            transition_rates(s18, s20, SCHEDULE, mode="bogus")
+    def test_station_without_rows(self):
+        rates, failures = transition_rates(counts_of([]), ["s"], SCHEDULE)
+        assert rates == {}
+        assert (type(failures["s"]), str(failures["s"])) == \
+            (EmptyPeriod, "no count observations")
+
+
+def merge_oracle(parts):
+    """The dict merge the column merge replaced: files in order, each
+    file's stations in order of first appearance, dates ascending."""
+    merged: dict[str, dict] = {}
+    for rows in parts:
+        series: dict[str, dict] = {}
+        for station, day, count in rows:
+            series.setdefault(station, {})[d(day)] = count
+        for station, dates in series.items():
+            per_station = merged.setdefault(station, {})
+            for date, count in sorted(dates.items()):
+                if date in per_station:
+                    raise ValueError(
+                        f"duplicate observation for ({station}, {date}) across files")
+                per_station[date] = count
+    return {station: sorted(dates.items()) for station, dates in merged.items()}
+
+
+class TestMergeCounts:
+    def test_against_dict_merge(self, rng):
+        days = [str(dt.date(2020, 1, 1) + dt.timedelta(days=k)) for k in range(40)]
+        for _ in range(200):
+            parts = []
+            for _ in range(int(rng.integers(2, 4))):
+                rows = {(f"s{int(rng.integers(0, 5))}", days[int(rng.integers(0, 40))]): 1
+                        for _ in range(int(rng.integers(0, 25)))}
+                parts.append([(s, day, int(rng.integers(0, 9))) for s, day in rows])
+            try:
+                want = merge_oracle(parts)
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                merged = counts_of(parts[0])
+                for rows in parts[1:]:
+                    merged = merge_counts(merged, counts_of(rows))
+            except ValueError as exc:
+                got = str(exc)
+            else:
+                assert (np.diff(merged.keys()) > 0).all()
+                got = {station: [] for station in merged.station_ids}
+                for k, day, count in zip(merged.station.tolist(), merged.day.tolist(),
+                                         merged.count.tolist()):
+                    got[merged.station_ids[k]].append((dt.date.fromordinal(day), count))
+                assert list(got) == list(want)
+            assert got == want
+
+
+def period_totals_oracle(entries, schedule, year, station):
+    """The per-entry window scan the column totals replaced."""
+    if not entries:
+        raise ValueError(f"station {station!r} has no observations")
+    totals = {}
+    for label, start, end in schedule.periods:
+        w_start, w_end = _map_to_year(start, year), _map_to_year(end, year)
+        in_window = [count for date, count in entries if w_start <= date <= w_end]
+        if not in_window:
+            raise EmptyPeriod(
+                f"station {station!r} has no observations in "
+                f"{label!r} ({w_start}..{w_end})"
+            )
+        totals[label] = sum(in_window)
+    return totals
+
+
+def _map_to_year(date, year):
+    try:
+        return date.replace(year=year)
+    except ValueError:
+        return date.replace(year=year, day=28)
+
+
+def transition_rates_oracle(entries, schedule, station):
+    """One station's rates as the per-station code computed them."""
+    if not entries:
+        raise EmptyPeriod("no count observations")
+    totals_2018 = period_totals_oracle(
+        sorted(e for e in entries if e[0].year == 2018), schedule, 2018, station)
+    totals_2020 = period_totals_oracle(
+        sorted(e for e in entries if e[0].year == 2020), schedule, 2020, station)
+    yoy = {label: change_rate(totals_2020[label], totals_2018[label])
+           for label in PERIOD_LABELS}
+    rates = []
+    for earlier, later in zip(PERIOD_LABELS, PERIOD_LABELS[1:]):
+        if yoy[earlier] == 0:
+            raise ZeroBaseline(
+                f"year-over-year ratio for {earlier!r} is zero; transition rate undefined"
+            )
+        rates.append(yoy[later] / yoy[earlier])
+    return tuple(rates)
+
+
+def random_schedule(rng):
+    """Four ordered windows inside one year, sometimes starting or ending
+    on Feb 29 of the leap year the windows are written in."""
+    year = int(rng.choice([2016, 2019, 2020]))
+    days = (dt.date(year, 12, 31) - dt.date(year, 1, 1)).days + 1
+    cuts = rng.choice(np.arange(days), size=8, replace=False)
+    if year != 2019 and rng.random() < 0.3 and 59 not in cuts:
+        cuts[rng.integers(8)] = 59  # Feb 29
+    cuts = sorted(cuts.tolist())
+    day = lambda k: dt.date(year, 1, 1) + dt.timedelta(days=int(k))
+    mapping = {}
+    for label, (a, b) in zip(PERIOD_LABELS, zip(cuts[0::2], cuts[1::2])):
+        mapping[label] = {"start": str(day(a)), "end": str(day(b))}
+    try:
+        return PeriodSchedule.from_mapping(mapping)
+    except ValueError:
+        return SCHEDULE
+
+
+class TestTransitionRatesAgainstOracle:
+    """The first reason a station has no rates, and its rates otherwise,
+    match the per-station code the column version replaced."""
+
+    def test_random_stations(self, rng):
+        for _ in range(40):
+            schedule = random_schedule(rng)
+            rows = []
+            for k in range(12):
+                zeros = rng.choice([0.0, 0.3, 0.95])
+                for year in (2018, 2019, 2020):
+                    density = rng.choice([0.0, 0.01, 0.05, 0.5, 1.0])
+                    start = dt.date(year, 1, 1)
+                    n = (dt.date(year, 12, 31) - start).days + 1
+                    for offset in np.flatnonzero(rng.random(n) < density).tolist():
+                        count = 0 if rng.random() < zeros else int(rng.integers(0, 400))
+                        rows.append((f"s{k}", start + dt.timedelta(days=offset), count))
+            order = rng.permutation(len(rows)).tolist()
+            counts = counts_of([rows[i] for i in order])
+            stations = [f"s{k}" for k in range(14)]  # two have no rows at all
+            rates, failures = transition_rates(counts, stations, schedule)
+            assert list(rates) + list(failures) == [s for s in stations if s in rates] + \
+                [s for s in stations if s in failures]
+            for station in stations:
+                entries = [(day, c) for s, day, c in rows if s == station]
+                try:
+                    want = transition_rates_oracle(entries, schedule, station)
+                except (ValueError, EmptyPeriod, ZeroBaseline) as exc:
+                    assert station not in rates
+                    got = failures[station]
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+                else:
+                    assert station not in failures
+                    assert np.array(rates[station]).tobytes() == np.array(want).tobytes()
 
 
 class TestStandardize:
@@ -308,16 +478,6 @@ class TestSchedule:
                     "Normalization": {"start": "2020-11-01", "end": "2021-02-28"},
                 }
             )
-
-
-class TestCountSeries:
-    def test_rejects_unsorted_dates(self):
-        with pytest.raises(ValueError):
-            series("s", ("2020-02-01", 1), ("2020-01-01", 2))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            series("s", ("2020-01-01", -1))
 
 
 def _profiles_for(values_by_station):

@@ -1,28 +1,34 @@
+import csv
 import datetime as dt
+import io
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bikepls import frames, ingest
 from bikepls.errors import (
     CategoryCountMismatch,
+    EmptyHouseholds,
     MissingCounty,
     NetworkError,
     ParseError,
+    ZeroFemale,
 )
 from bikepls.ingest import (
     AcsSchema,
     FixtureTransport,
-    RawAcsTable,
     ResponseCache,
     SourceConfig,
+    census_profiles,
     fetch_counts,
     fetch_many,
     fixture_transport_from_dir,
     load_acs_table_csv,
     load_population_csv,
-    parse_acs_age,
-    parse_acs_education,
-    parse_acs_income,
     parse_counts_csv,
 )
 
@@ -43,20 +49,79 @@ class RecordingTransport:
         return len(self.requests)
 
 
+def parse_counts_oracle(data: bytes) -> dict[str, tuple[tuple[dt.date, int], ...]]:
+    """The row-by-row parser the columnar one replaced: one date-sorted
+    series per station, stations in order of first appearance."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"counts payload is not UTF-8: {exc}") from exc
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = tuple(next(reader))
+    except StopIteration:
+        raise ParseError("line 1: empty counts payload") from None
+    if header != frames.COUNTS_CSV_HEADER:
+        raise ParseError(f"line 1: bad counts header {header}")
+    rows: dict[str, dict[dt.date, int]] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
+        station, date_text, count_text = row
+        try:
+            date = dt.date.fromisoformat(date_text)
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad date {date_text!r}") from None
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad count {count_text!r}") from None
+        if count < 0:
+            raise ParseError(f"line {lineno}: negative count {count}")
+        per_station = rows.setdefault(station, {})
+        if date in per_station:
+            raise ParseError(f"line {lineno}: duplicate observation for ({station}, {date})")
+        per_station[date] = count
+    return {station: tuple(sorted(dates.items())) for station, dates in rows.items()}
+
+
+def as_series(counts: frames.Counts) -> dict[str, tuple[tuple[dt.date, int], ...]]:
+    """Columns back as the oracle's per-station series, checking on the way
+    that rows are sorted by (station, day) with no pair twice."""
+    keys = counts.keys()
+    assert (np.diff(keys) > 0).all()
+    out: dict[str, list] = {station: [] for station in counts.station_ids}
+    for k, day, count in zip(counts.station.tolist(), counts.day.tolist(),
+                             counts.count.tolist()):
+        out[counts.station_ids[k]].append((dt.date.fromordinal(day), count))
+    return {station: tuple(rows) for station, rows in out.items()}
+
+
+def outcome(parse, data: bytes):
+    """What a parser makes of ``data``: its series, or its error."""
+    try:
+        result = parse(data)
+    except (ParseError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", as_series(result) if isinstance(result, frames.Counts) else result
+
+
 COUNTS = b"station_id,date,count\nA,2020-01-02,5\nB,2020-01-01,7\nA,2020-01-01,3\n"
 
 
 class TestParseCountsCsv:
     def test_three_rows_one_station(self):
         data = b"station_id,date,count\nA,2020-01-01,1\nA,2020-01-02,2\nA,2020-01-03,3\n"
-        series = parse_counts_csv(data)
-        assert len(series) == 1
-        assert len(series["A"]) == 3
+        counts = parse_counts_csv(data)
+        assert counts.station_ids == ("A",)
+        assert len(counts) == 3
 
     def test_interleaved_stations_sorted(self):
-        series = parse_counts_csv(COUNTS)
+        series = as_series(parse_counts_csv(COUNTS))
         assert set(series) == {"A", "B"}
-        dates = [date for date, _ in series["A"].entries]
+        dates = [date for date, _ in series["A"]]
         assert dates == sorted(dates)
 
     def test_duplicate_observation(self):
@@ -65,7 +130,8 @@ class TestParseCountsCsv:
             parse_counts_csv(data)
 
     def test_header_only(self):
-        assert parse_counts_csv(b"station_id,date,count\n") == {}
+        counts = parse_counts_csv(b"station_id,date,count\n")
+        assert counts.station_ids == () and len(counts) == 0
 
     def test_bad_header(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -89,7 +155,122 @@ class TestParseCountsCsv:
             parse_counts_csv(b"\xff\xfe\x00bad")
 
     def test_deterministic(self):
-        assert parse_counts_csv(COUNTS) == parse_counts_csv(COUNTS)
+        assert as_series(parse_counts_csv(COUNTS)) == as_series(parse_counts_csv(COUNTS))
+
+
+HEADER = "station_id,date,count\n"
+
+# Payloads the oracle rejects or accepts, each with a twist the fast split
+# must not miss: quoting, blank lines, carriage returns, widths, odd cells.
+EDGE_PAYLOADS = [
+    "",
+    "\n",
+    "station_id,date\n",
+    '"station_id","date","count"\nA,2020-01-01,1\n',
+    HEADER + "\n\nA,2020-01-01,1\n\nA,2020-01-02,2\n",
+    HEADER + "A,2020-01-01,1\n\n\nB,2020-01-01\n",
+    HEADER + "A,2020-01-01,1\nB,2020-01-01,2,3\n",
+    HEADER + "A,2020-01-01\nA,bad,1\n",
+    HEADER + "A,bad,1\nA,2020-01-01\n",
+    HEADER + " \n",
+    HEADER + ",,\n",
+    HEADER + '"a,b",2020-01-01,1\n"a,b",2020-01-02,2\n',
+    HEADER + '"x""y",2020-01-01,1\n',
+    HEADER + '""\n',
+    HEADER + '"multi\nline",2020-01-01,1\nA,2020-01-01,x\n',
+    HEADER.replace("\n", "\r\n") + "A,2020-01-01,1\r\nA,2020-01-02,2\r\n",
+    HEADER + "A,2020-01-01,1\rA,2020-01-02,2\n",
+    HEADER + "A,bad,1\nA,2020-01-01,1\rA,2020-01-02,2\n",
+    HEADER + "A,2020-01-01,1\nA,2020-01-01\rA,2020-01-02,2\n",
+    HEADER + "A,2020-02-29,1\nA,2019-02-29,1\n",
+    HEADER + "A,20200105,1\nA,2020-01-05,2\n",
+    HEADER + "A,2020-01-05,1\nA, 2020-01-05,2\n",
+    HEADER + "A,2020-1-5,1\n",
+    HEADER + "A,2020-01-05, 7 \nA,2020-01-06,+8\nA,2020-01-07,1_000\n",
+    HEADER + "A,2020-01-05,-0\nA,2020-01-06,-3\n",
+    HEADER + "A,2020-01-05,99999999999999999999\nA,2020-01-06,1\n",
+    HEADER + "A,2020-01-05,-99999999999999999999\n",
+    HEADER + "A,2020-01-05,\n",
+    HEADER + "A,2020-01-05,1\nB,2020-01-05,1\nA,2020-01-05,2\nA,bad,1\n",
+    HEADER + "A,bad,1\nA,2020-01-05,1\nA,2020-01-05,2\n",
+    HEADER + "Zürich,2020-01-05,1\n東京,2020-01-05,2\n",
+    HEADER + "A,2020-01-05,1",
+    HEADER + "A,2020-01-05,1\x00\n",
+]
+
+
+class TestAgainstRowByRowOracle:
+    """The columnar parser accepts, rejects and names lines as the
+    row-by-row parser it replaced."""
+
+    @pytest.mark.parametrize("text", EDGE_PAYLOADS)
+    def test_edge_payloads(self, text):
+        data = text.encode()
+        assert outcome(parse_counts_csv, data) == outcome(parse_counts_oracle, data)
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe\x00bad",
+        COUNTS + b"A,2020-01-01,9\n",
+        b"id,when,how_many\n",
+        b"station_id,date,count\nA,2020-01-01,3\nA,2020-01-02,-4\n",
+        b"station_id,date,count\nA,01/02/2020,3\n",
+        b"station_id,date,count\nA,2020-01-01,3.5\n",
+        b"station_id,date,count\n",
+    ])
+    def test_parse_counts_cases(self, data):
+        assert outcome(parse_counts_csv, data) == outcome(parse_counts_oracle, data)
+
+    @pytest.mark.parametrize("chunk, batch", [(1 << 20, 1 << 15), (1000, 50)])
+    def test_files_over_many_batches(self, monkeypatch, chunk, batch):
+        # faults past the first chunk of lines (or batch of records) are named too
+        monkeypatch.setattr(ingest, "_COUNTS_CHUNK", chunk)
+        monkeypatch.setattr(ingest, "_COUNTS_BATCH", batch)
+        rng = random.Random(7)
+        days = [dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(366)]
+        n = 50_000 if chunk > 1000 else 2_000
+        rows = [f"s{s},{d},{rng.randrange(500)}" for s in range(n // 366 + 1) for d in days]
+        rows = rows[:n]
+        rng.shuffle(rows)
+        good = HEADER + "\n".join(rows) + "\n"
+        assert outcome(parse_counts_csv, good.encode()) == \
+            outcome(parse_counts_oracle, good.encode())
+        at = int(n * 0.9)
+        for fault in ("s1,2020-13-01,1", "s1,2020-01-01,-1", rows[5], "s1,2020-01-01", "",
+                      "s1,2020-01-01,x\r"):
+            bad = rows[:at] + [fault] + rows[at:]
+            data = (HEADER + "\n".join(bad) + "\n").encode()
+            assert outcome(parse_counts_csv, data) == outcome(parse_counts_oracle, data)
+
+    def test_field_over_the_csv_limit(self):
+        # the csv module refuses a field longer than its limit, on any line
+        data = (HEADER + "A,2020-01-01,1\n" + "B" * (csv.field_size_limit() + 1)
+                + ",2020-01-01,1\n").encode()
+        assert outcome(parse_counts_csv, data) == outcome(parse_counts_oracle, data)
+        assert outcome(parse_counts_csv, data)[0] == "Error"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["A", "B", "a,b", 'q"t', " A", "Zürich", ""]),
+        st.sampled_from(["2020-01-01", "2020-01-02", "2020-02-29", "2019-02-29",
+                         "2018-12-31", "20200101", "2020-1-2", " 2020-01-01", "", "x"]),
+        st.sampled_from(["0", "1", "7", "-2", "+3", " 4", "1_0", "2.5", "", "x",
+                         "99999999999999999999"]),
+        st.sampled_from(["row", "row", "row", "row", "blank", "short", "long"]),
+    ), max_size=30), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_random_payloads(self, rows, newline, quote_all):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator=newline,
+                            quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+        writer.writerow(frames.COUNTS_CSV_HEADER)
+        for station, date, count, shape in rows:
+            if shape == "blank":
+                buf.write(newline)
+            else:
+                cells = {"row": [station, date, count], "short": [station, date],
+                         "long": [station, date, count, count]}[shape]
+                writer.writerow(cells)
+        data = buf.getvalue().encode()
+        assert outcome(parse_counts_csv, data) == outcome(parse_counts_oracle, data)
 
 
 URL_TEMPLATE = "https://example.test/counts?station={station}&start={start}&end={end}"
@@ -122,7 +303,7 @@ class TestFetchCounts:
         first = fetch_counts(config, "A", *RANGE, transport)
         second = fetch_counts(config, "A", *RANGE, transport)
         assert transport.call_count == 1
-        assert first == second
+        assert as_series(first) == as_series(second)
 
     def test_corrupt_cache_entry_refetched(self, tmp_path):
         transport = _fixture_transport()
@@ -143,7 +324,8 @@ class TestFetchCounts:
         config = _config(tmp_path)
         cold = fetch_counts(config, "A", *RANGE, _fixture_transport())
         warm = fetch_counts(config, "A", *RANGE, _fixture_transport())
-        assert cold == warm
+        assert as_series(cold) == as_series(warm)
+        assert as_series(cold) == {"A": parse_counts_oracle(COUNTS)["A"]}
 
     def test_network_error_after_retries(self, tmp_path):
         class FailingTransport:
@@ -205,6 +387,11 @@ class TestSourceConfig:
 
 
 SCHEMA = AcsSchema.bundled()
+AGE_LABELS = tuple(label for label, _ in SCHEMA.age_brackets)
+
+
+def acs_text(rows) -> str:
+    return "county,label,value\n" + "".join(f"{c},{label},{v!r}\n" for c, label, v in rows)
 
 
 def _income_rows(county, values):
@@ -214,77 +401,96 @@ def _income_rows(county, values):
     )
 
 
+def income_table(rows):
+    return load_acs_table_csv(acs_text(rows), "income", SCHEMA.income_categories)
+
+
+def sums(table, counties):
+    """One county set's totals, or its error."""
+    totals, errors = table.sum_over([tuple(counties)])
+    if errors[0] is not None:
+        raise errors[0]
+    return totals[0].tolist()
+
+
 class TestAcsTables:
     def test_single_county_passthrough(self):
         values = [10.0, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-        table = RawAcsTable("income", _income_rows("denver", values))
-        assert parse_acs_income(table, ["denver"], SCHEMA) == values
+        table = income_table(_income_rows("denver", values))
+        assert sums(table, ["denver"]) == values
 
     def test_two_counties_summed(self):
         a = [1.0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
         b = [2.0, 3, 0, 0, 0, 0, 0, 0, 0, 0]
-        table = RawAcsTable("income", _income_rows("a", a) + _income_rows("b", b))
-        assert parse_acs_income(table, ["a", "b"], SCHEMA) == \
-            [3.0, 3, 0, 0, 0, 0, 0, 0, 0, 0]
+        table = income_table(_income_rows("a", a) + _income_rows("b", b))
+        assert sums(table, ["a", "b"]) == [3.0, 3, 0, 0, 0, 0, 0, 0, 0, 0]
 
     def test_summation_order_invariant(self):
         a = [1.0, 2, 3, 4, 5, 6, 7, 8, 9, 10]
         b = [10.0, 9, 8, 7, 6, 5, 4, 3, 2, 1]
-        table = RawAcsTable("income", _income_rows("a", a) + _income_rows("b", b))
-        assert parse_acs_income(table, ["a", "b"], SCHEMA) == \
-            parse_acs_income(table, ["b", "a"], SCHEMA)
+        table = income_table(_income_rows("a", a) + _income_rows("b", b))
+        assert sums(table, ["a", "b"]) == sums(table, ["b", "a"])
 
     def test_wrong_category_count(self):
-        rows = _income_rows("a", list(range(10)))[:9]
-        table = RawAcsTable("income", rows)
-        with pytest.raises(CategoryCountMismatch):
-            parse_acs_income(table, ["a"], SCHEMA)
+        table = income_table(_income_rows("a", list(range(10)))[:9])
+        with pytest.raises(CategoryCountMismatch, match="has 9 categories, expected 10"):
+            sums(table, ["a"])
 
     def test_missing_county(self):
-        table = RawAcsTable("income", _income_rows("a", list(range(10))))
-        with pytest.raises(MissingCounty):
-            parse_acs_income(table, ["a", "nowhere"], SCHEMA)
+        table = income_table(_income_rows("a", list(range(10))))
+        with pytest.raises(MissingCounty, match="county 'nowhere' missing"):
+            sums(table, ["a", "nowhere"])
 
     def test_education_levels(self):
         rows = tuple(
             ("a", label, i) for i, label in enumerate(SCHEMA.education_levels)
         )
-        table = RawAcsTable("education", rows)
-        counts = parse_acs_education(table, ["a"], SCHEMA)
-        assert counts == list(range(9))
+        table = load_acs_table_csv(acs_text(rows), "education", SCHEMA.education_levels)
+        assert sums(table, ["a"]) == list(range(9))
 
     def test_age_returns_schema_levels(self):
-        rows = tuple(
-            ("a", label, 10.0) for label, _ in SCHEMA.age_brackets
-        )
-        table = RawAcsTable("age", rows)
-        counts, levels = parse_acs_age(table, ["a"], SCHEMA)
-        assert counts == [10.0] * len(SCHEMA.age_brackets)
-        assert levels == [level for _, level in SCHEMA.age_brackets]
+        rows = tuple((county, label, 10.0) for county in "ab" for label in AGE_LABELS)
+        table = load_acs_table_csv(acs_text(rows), "age", AGE_LABELS)
+        assert sums(table, ["a"]) == [10.0] * len(SCHEMA.age_brackets)
+        # the profile weighs the brackets by the schema's levels
+        income = income_table(_income_rows("a", [1.0] * 10))
+        education = load_acs_table_csv(
+            acs_text(("a", label, 1.0) for label in SCHEMA.education_levels),
+            "education", SCHEMA.education_levels)
+        [profile] = census_profiles([("a",)], income, education, table, {"a": (1.0, 1.0)},
+                                    SCHEMA)
+        levels = [level for _, level in SCHEMA.age_brackets]
+        assert profile.avg_age == frames.avg_age([10.0] * len(levels), levels)
 
     def test_raw_table_rejects_negative(self):
-        with pytest.raises(ValueError):
-            RawAcsTable("income", (("a", "under_10k", -1.0),))
+        with pytest.raises(ValueError, match="negative value for a/under_10k"):
+            income_table((("a", "under_10k", -1.0),))
 
     def test_raw_table_rejects_duplicate_label(self):
-        with pytest.raises(ValueError):
-            RawAcsTable(
-                "income",
-                (("a", "under_10k", 1.0), ("a", "under_10k", 2.0)),
-            )
+        with pytest.raises(ValueError, match="duplicate label 'under_10k' for 'a'"):
+            income_table((("a", "under_10k", 1.0), ("a", "under_10k", 2.0)))
 
     def test_load_csv(self):
-        text = "county,label,value\na,under_10k,5\n"
-        table = load_acs_table_csv(text, "income")
-        assert table.rows == (("a", "under_10k", 5.0),)
+        values = [5.0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+        text = acs_text(_income_rows("a", values)) + "b,under_10k,5\n"
+        table = load_acs_table_csv(text, "income", SCHEMA.income_categories)
+        # schema order, one row per complete county; the others by label count
+        assert table.rows == {"a": 0}
+        assert table.values.tolist() == [values]
+        assert table.label_counts == {"b": 1}
 
     def test_load_csv_bad_header(self):
         with pytest.raises(ParseError):
-            load_acs_table_csv("c,l,v\na,b,1\n", "income")
+            load_acs_table_csv("c,l,v\na,b,1\n", "income", SCHEMA.income_categories)
 
     def test_load_csv_bad_value(self):
         with pytest.raises(ParseError, match="line 2"):
-            load_acs_table_csv("county,label,value\na,b,many\n", "income")
+            load_acs_table_csv("county,label,value\na,b,many\n", "income",
+                               SCHEMA.income_categories)
+
+    def test_empty_file_is_a_bad_header(self):
+        with pytest.raises(ParseError, match=r"^table income: bad header \(\)$"):
+            load_acs_table_csv("", "income", SCHEMA.income_categories)
 
     def test_bundled_schema_shape(self):
         assert len(SCHEMA.income_categories) == 10
@@ -292,7 +498,124 @@ class TestAcsTables:
         assert len(SCHEMA.age_brackets) == 9
 
 
+def sum_categories_oracle(rows, table_id, counties, expected_labels):
+    """The per-call aggregation the indexed tables replaced."""
+    by_county: dict[str, dict[str, float]] = {}
+    for county, label, value in rows:
+        by_county.setdefault(county, {})[label] = value
+    totals = [0.0] * len(expected_labels)
+    for county in sorted(set(counties)):
+        if county not in by_county:
+            raise MissingCounty(f"table {table_id}: county {county!r} missing")
+        labels = by_county[county]
+        if set(labels) != set(expected_labels):
+            raise CategoryCountMismatch(
+                f"table {table_id}: county {county!r} has "
+                f"{len(labels)} categories, expected {len(expected_labels)}"
+            )
+        for i, label in enumerate(expected_labels):
+            totals[i] += labels[label]
+    return totals
+
+
+def profile_oracle(tables, population, counties):
+    """A station's profile as the per-station loop built it."""
+    counties = sorted(counties)
+    income = sum_categories_oracle(tables["income"], "income", counties,
+                                   SCHEMA.income_categories)
+    education = sum_categories_oracle(tables["education"], "education", counties,
+                                      SCHEMA.education_levels)
+    age = sum_categories_oracle(tables["age"], "age", counties, AGE_LABELS)
+    males = females = 0.0
+    for county in counties:
+        if county not in population:
+            raise MissingCounty(f"population table: county {county!r} missing")
+        males += population[county][0]
+        females += population[county][1]
+    total, ratio = frames.population_and_gender(males, females)
+    return frames.SocioeconomicProfile(
+        avg_income=frames.avg_income(income),
+        avg_education=frames.avg_education(education),
+        avg_age=frames.avg_age(age, [level for _, level in SCHEMA.age_brackets]),
+        total_population=total,
+        male_female_ratio=ratio,
+    )
+
+
+def random_census(rng, n_counties):
+    """Fractional census tables over ``n_counties`` counties, with some
+    counties missing from a table, short of a category, or all zero."""
+    counties = [f"c{k}" for k in range(n_counties)]
+    tables = {}
+    for table_id, labels in (("income", SCHEMA.income_categories),
+                             ("education", SCHEMA.education_levels),
+                             ("age", AGE_LABELS)):
+        rows = []
+        for county in counties:
+            fate = rng.random()
+            if fate < 0.04:
+                continue  # missing
+            kept = labels[:-1] if fate < 0.08 else labels
+            zero = fate > 0.97
+            rows += [(county, label, 0.0 if zero else rng.uniform(0, 1000) * rng.choice([1, 1e-3, 1e6]))
+                     for label in kept]
+        rng.shuffle(rows)
+        tables[table_id] = rows
+    population = {}
+    for county in counties:
+        if rng.random() > 0.04:
+            # a set of only male-free counties stops derive with a ValueError
+            # (a ratio of 0 is refused), so every county has some men
+            female = rng.uniform(0, 5e4) if rng.random() > 0.05 else 0.0
+            population[county] = (rng.uniform(1, 5e4), female)
+    return counties, tables, population
+
+
+class TestCensusAgainstOracle:
+    def test_sums_bit_for_bit(self):
+        rng = random.Random(11)
+        labels = SCHEMA.income_categories
+        for _ in range(30):
+            counties = [f"c{k}" for k in range(12)]
+            rows = [(c, label, rng.uniform(0, 1000) * rng.choice([1, 1e-7, 1e9]))
+                    for c in counties for label in labels]
+            rng.shuffle(rows)
+            table = load_acs_table_csv(acs_text(rows), "income", labels)
+            sets = [tuple(sorted(rng.sample(counties, rng.randint(1, 6)))) for _ in range(40)]
+            totals, errors = table.sum_over(sets)
+            assert errors == [None] * len(sets)
+            for counties_of_set, row in zip(sets, totals):
+                want = sum_categories_oracle(rows, "income", counties_of_set, labels)
+                assert np.array(want).tobytes() == row.tobytes()
+
+    def test_profiles_and_first_errors(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            counties, tables, population = random_census(rng, 15)
+            loaded = {table_id: load_acs_table_csv(acs_text(rows), table_id, labels)
+                      for (table_id, rows), labels in zip(tables.items(), (
+                          SCHEMA.income_categories, SCHEMA.education_levels, AGE_LABELS))}
+            sets = list(dict.fromkeys(
+                tuple(sorted(rng.sample(counties, rng.randint(1, 4)))) for _ in range(60)))
+            got = census_profiles(sets, loaded["income"], loaded["education"], loaded["age"],
+                                  population, SCHEMA)
+            for counties_of_set, result in zip(sets, got):
+                try:
+                    want = profile_oracle(tables, population, counties_of_set)
+                except (MissingCounty, CategoryCountMismatch, ZeroFemale,
+                        EmptyHouseholds) as exc:
+                    assert (type(result), str(result)) == (type(exc), str(exc))
+                else:
+                    assert result == want
+                    assert np.array(result.as_row()).tobytes() == \
+                        np.array(want.as_row()).tobytes()
+
+
 class TestPopulationCsv:
+    def test_empty_file_is_a_bad_header(self):
+        with pytest.raises(ParseError, match=r"^bad population header: \(\)$"):
+            load_population_csv("")
+
     def test_reads_counts(self):
         out = load_population_csv("county,male,female\na,10,12\n")
         assert out == {"a": (10.0, 12.0)}
