@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegeneratePolygon, ParseError, UnsupportedGeometry
+from .frames import _csv_rows
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -183,35 +184,18 @@ def load_stations_csv(text: str) -> list[Station]:
     Raises
     ------
     ParseError
-        Naming the line of a row with another field count, a coordinate
-        that is not a number or out of range, or a station seen before.
+        For a bad header, or naming the line of a row that
+        ``frames._csv_rows`` refuses (another field count, a station seen
+        before, a coordinate that is not a finite number) or that lies out
+        of range.
     """
-    import csv
-    import io
-
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader, ()))
-    if header != ("station_id", "latitude", "longitude", "name"):
-        raise ValueError(f"bad stations header: {header}")
     stations = []
-    seen: set[str] = set()
-    for row in reader:
-        if not row:
-            continue
-        where = f"stations line {reader.line_num}"
-        if len(row) not in (3, 4):
-            raise ParseError(f"{where}: expected 3 or 4 fields, got {len(row)}")
-        if row[0] in seen:
-            raise ParseError(f"{where}: duplicate station {row[0]!r}")
-        seen.add(row[0])
+    for line, cells, (latitude, longitude) in _csv_rows(
+            text, "stations", ("station_id", "latitude", "longitude", "name"), optional=1):
         try:
-            latitude, longitude = float(row[1]), float(row[2])
-        except ValueError:
-            raise ParseError(f"{where}: bad coordinates {row[1]!r}, {row[2]!r}") from None
-        try:
-            stations.append(Station(row[0], latitude, longitude, *row[3:]))
+            stations.append(Station(cells[0], latitude, longitude, *cells[3:]))
         except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+            raise ParseError(f"stations line {line}: {exc}") from None
     return stations
 
 

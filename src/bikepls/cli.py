@@ -21,6 +21,7 @@ from .errors import (
     NetworkError,
     SingularProjection,
     TooFewStations,
+    ZeroVariance,
 )
 
 EXIT_OK = 0
@@ -253,8 +254,8 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
         text = load_bundled_table()
     try:
         frame_map = frames.frames_from_analysis_table(text, cfg.standardize_y)
-    except TooFewStations as exc:
-        raise TooFewStations(f"{cfg.input or 'bundled table'}: {exc}") from None
+    except (TooFewStations, ZeroVariance) as exc:
+        raise type(exc)(f"{cfg.input or 'bundled table'}: {exc}") from None
     fitted = {
         label: (frame, plsr.fit(frame, cfg.components))
         for label, frame in frame_map.items()

@@ -31,6 +31,10 @@ class ZeroFemale(BikeplsError):
     """Male/female ratio undefined because the female count is zero."""
 
 
+class InvalidProfile(BikeplsError):
+    """Catchment aggregates fall outside a profile's domain (no men, say)."""
+
+
 class TooFewStations(BikeplsError):
     """An analysis table holds fewer stations than a fit needs."""
 

@@ -13,13 +13,14 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     EmptyHouseholds,
     EmptyPeriod,
+    InvalidProfile,
     LengthMismatch,
     ParseError,
     TooFewStations,
@@ -135,7 +136,9 @@ def merge_counts(first: Counts, second: Counts) -> Counts:
 def counts_to_csv_text(parts: Iterable[Counts]) -> str:
     """The counts CSV of ``parts``, one after another, rows in their order.
 
-    Station ids are written as they are, unquoted.
+    Station ids are quoted as ``csv.writer`` quotes them with its default
+    ``\\r\\n`` terminator: only an id that holds a comma, a quote, ``\\r``
+    or ``\\n``, with its quotes doubled.
     """
     iso: dict[int, str] = {}
     lines = [",".join(COUNTS_CSV_HEADER) + "\n"]
@@ -143,7 +146,8 @@ def counts_to_csv_text(parts: Iterable[Counts]) -> str:
         days = counts.day.tolist()
         for day in set(days).difference(iso):
             iso[day] = dt.date.fromordinal(day).isoformat()
-        ids = counts.station_ids
+        ids = ['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
+               for s in counts.station_ids]
         lines += [f"{ids[k]},{iso[d]},{c}\n"
                   for k, d, c in zip(counts.station.tolist(), days, counts.count.tolist())]
     return "".join(lines)
@@ -154,8 +158,8 @@ class PeriodSchedule:
     """The four analysis windows, in fixed order, non-overlapping.
 
     The source material does not pin the calendar dates; they are
-    configuration. ``placeholder_2020`` documents a usable default but any
-    real run should supply its own schedule file.
+    configuration, and every run supplies its own schedule file
+    (``fixtures/schedule.json`` holds a usable 2020 one).
     """
 
     periods: tuple[tuple[str, dt.date, dt.date], ...]
@@ -202,18 +206,6 @@ class PeriodSchedule:
     def from_json(cls, text: str) -> "PeriodSchedule":
         return cls.from_mapping(json.loads(text))
 
-    @classmethod
-    def placeholder_2020(cls) -> "PeriodSchedule":
-        """Documented placeholder windows over the 2020 calendar."""
-        return cls.from_mapping(
-            {
-                "Pre-Pandemic": {"start": "2020-01-01", "end": "2020-03-15"},
-                "Pandemic": {"start": "2020-03-16", "end": "2020-05-31"},
-                "Transition": {"start": "2020-06-01", "end": "2020-08-31"},
-                "Normalization": {"start": "2020-09-01", "end": "2020-12-31"},
-            }
-        )
-
 
 @dataclass(frozen=True)
 class TransitionTable:
@@ -244,14 +236,69 @@ def _csv_text(header: Sequence[str], rows: Iterable[tuple[str, Sequence[float]]]
     return buf.getvalue()
 
 
-def _finite_number(where: str, cell: str) -> float:
+def _csv_rows(text: str, what: str, header: Sequence[str], key: int = 1, optional: int = 0,
+              non_negative: bool = False) -> Iterator[tuple[int, list[str], list[float]]]:
+    """The rows of a CSV whose first line is exactly ``header``, as
+    ``(line, cells, numbers)``.
+
+    Blank lines are skipped. A row has every column of ``header``, or all
+    but the last ``optional`` ones. Its first ``key`` cells name it, and no
+    two rows share a name. The cells after the key, up to the optional
+    columns, are numbers: finite, and not negative when ``non_negative``.
+
+    Raises
+    ------
+    ParseError
+        ``<what>: bad header (...)``, or ``<what> line N: ...`` for the
+        first row at fault (or text the csv module refuses), numbered by
+        physical line.
+    """
+    reader = csv.reader(io.StringIO(text))
+    stop = len(header) - optional
+    widths = range(stop, len(header) + 1)
+    seen: set = set()
     try:
-        value = float(cell)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ParseError(f"{where}: bad number {cell!r}")
-    return value
+        found = tuple(next(reader, ()))
+        if found != tuple(header):
+            raise ParseError(f"{what}: bad header {found}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) not in widths:
+                expected = " or ".join(map(str, widths))
+                raise ParseError(f"{what} line {reader.line_num}: expected {expected} fields, "
+                                 f"got {len(row)}")
+            name = row[0] if key == 1 else tuple(row[:key])
+            if name in seen:
+                key_text = ", ".join(f"{c} {v!r}" for c, v in zip(header, row[:key]))
+                raise ParseError(f"{what} line {reader.line_num}: duplicate {key_text}")
+            seen.add(name)
+            try:
+                values = list(map(float, row[key:stop]))
+                ok = all(map(math.isfinite, values)) and not (non_negative and min(values) < 0)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ParseError(f"{what} line {reader.line_num}: "
+                                 f"{_bad_cell(row[key:stop], non_negative)}")
+            yield reader.line_num, row, values
+    except csv.Error as exc:
+        raise ParseError(f"{what} line {reader.line_num}: {exc}") from None
+
+
+def _bad_cell(cells: list[str], non_negative: bool) -> str:
+    """What is wrong with the first of ``cells`` that is not a finite
+    number, or is negative when ``non_negative``."""
+    for cell in cells:
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            return f"bad number {cell!r}"
+        if non_negative and value < 0:
+            return f"negative number {cell!r}"
+    raise AssertionError(f"no bad cell in {cells}")
 
 
 @dataclass(frozen=True)
@@ -266,11 +313,15 @@ class SocioeconomicProfile:
 
     def __post_init__(self):
         if not 0.0 <= self.avg_education <= 8.0:
-            raise ValueError(f"avg_education {self.avg_education} outside [0, 8]")
+            raise InvalidProfile(f"avg_education {self.avg_education} outside [0, 8]")
         if self.total_population <= 0:
-            raise ValueError("total_population must be positive")
+            raise InvalidProfile("total_population must be positive")
         if self.male_female_ratio <= 0:
-            raise ValueError("male_female_ratio must be positive")
+            raise InvalidProfile("male_female_ratio must be positive")
+        # census sums can overflow to inf, which makes the averages nan
+        for name, value in zip(PREDICTOR_NAMES, self.as_row()):
+            if not math.isfinite(value):
+                raise InvalidProfile(f"{name} {value} is not finite")
 
     def as_row(self) -> tuple[float, ...]:
         return (
@@ -448,7 +499,7 @@ def _first_failure(station: str, schedule: PeriodSchedule, *per_year) -> Excepti
     )
 
 
-def standardize(column: Sequence[float]) -> StandardizedColumn:
+def standardize(column: Sequence[float], name: str = "column") -> StandardizedColumn:
     """Z-score a column using its mean and population standard deviation.
 
     The population convention (divide by n) is used throughout the package:
@@ -458,7 +509,8 @@ def standardize(column: Sequence[float]) -> StandardizedColumn:
     Raises
     ------
     ZeroVariance
-        If every value is identical (non-informative predictor).
+        If every value is identical (non-informative predictor); the
+        message names the column as ``name``.
     """
     values = np.asarray(column, dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -466,7 +518,7 @@ def standardize(column: Sequence[float]) -> StandardizedColumn:
     mean = float(values.mean())
     std = float(values.std())  # population: ddof=0
     if std == 0.0:
-        raise ZeroVariance("column is constant; standardization undefined")
+        raise ZeroVariance(f"{name} is constant; standardization undefined")
     return StandardizedColumn((values - mean) / std, mean, std)
 
 
@@ -529,28 +581,28 @@ def build_frame(
 ) -> AnalysisFrame:
     """Standardize raw predictor columns and wrap them as a frame."""
     raw_predictors = np.asarray(raw_predictors, dtype=float)
+    j = raw_predictors.shape[1]
+    names = PREDICTOR_NAMES[:j] if j <= len(PREDICTOR_NAMES) else tuple(f"x{k}" for k in range(j))
     cols, means, stds = [], [], []
-    for j in range(raw_predictors.shape[1]):
-        col = standardize(raw_predictors[:, j])
+    for name, column in zip(names, raw_predictors.T):
+        col = standardize(column, f"predictor {name!r}")
         cols.append(col.values)
         means.append(col.source_mean)
         stds.append(col.source_std)
     return AnalysisFrame(
         x=np.column_stack(cols),
-        y=_response(y_raw, standardize_y),
+        y=_response(y_raw, standardize_y, transition),
         station_ids=tuple(station_ids),
-        predictor_names=PREDICTOR_NAMES[: raw_predictors.shape[1]]
-        if raw_predictors.shape[1] <= len(PREDICTOR_NAMES)
-        else tuple(f"x{j}" for j in range(raw_predictors.shape[1])),
+        predictor_names=names,
         transition=transition,
         x_source_means=np.array(means),
         x_source_stds=np.array(stds),
     )
 
 
-def _response(y_raw: np.ndarray, standardize_y: bool) -> np.ndarray:
+def _response(y_raw: np.ndarray, standardize_y: bool, transition: str) -> np.ndarray:
     y_raw = np.asarray(y_raw, dtype=float)
-    y = standardize(y_raw).values if standardize_y else y_raw
+    y = standardize(y_raw, f"response {transition!r}").values if standardize_y else y_raw
     return np.array(y, dtype=float)
 
 
@@ -569,26 +621,15 @@ def load_analysis_table(
     Raises
     ------
     ParseError
-        Naming the line of a row with the wrong number of fields, a cell
-        that is not a finite number, or a station seen on an earlier line.
+        For a bad header, or naming the line of a row with the wrong number
+        of fields, a cell that is not a finite number, or a station seen on
+        an earlier line.
     """
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader, ()))
-    if header != ANALYSIS_TABLE_HEADER:
-        raise ValueError(f"bad analysis table header: {header}")
-    width = len(ANALYSIS_TABLE_HEADER)
-    rows: dict[str, list[float]] = {}
-    for row in reader:
-        if not row:
-            continue
-        where = f"analysis table line {reader.line_num}"
-        if len(row) != width:
-            raise ParseError(f"{where}: expected {width} fields, got {len(row)}")
-        if row[0] in rows:
-            raise ParseError(f"{where}: duplicate station {row[0]!r}")
-        rows[row[0]] = [_finite_number(where, cell) for cell in row[1:]]
+    rows = {cells[0]: values
+            for _, cells, values in _csv_rows(text, "analysis table", ANALYSIS_TABLE_HEADER)}
     station_ids = tuple(sorted(rows))
-    values = np.array([rows[s] for s in station_ids], dtype=float).reshape(-1, width - 1)
+    values = np.array([rows[s] for s in station_ids], dtype=float)
+    values = values.reshape(-1, len(ANALYSIS_TABLE_HEADER) - 1)
     n_rates = len(TRANSITION_LABELS)
     return station_ids, values[:, :n_rates].copy(), values[:, n_rates:].copy()
 
@@ -632,7 +673,7 @@ def frames_from_analysis_table(
     shared = build_frame(station_ids, predictors, rates[:, 0], first, standardize_y)
     return {
         transition: replace(
-            shared, y=_response(rates[:, k], standardize_y), transition=transition
+            shared, y=_response(rates[:, k], standardize_y, transition), transition=transition
         )
         for k, transition in enumerate(TRANSITION_LABELS)
     }

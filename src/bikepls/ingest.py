@@ -14,7 +14,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -481,32 +480,16 @@ class CensusTable:
 
 
 def load_acs_table_csv(text: str, table_id: str, categories: Sequence[str]) -> CensusTable:
-    """Read a ``county,label,value`` CSV and index it by the categories."""
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader, ()))
-    if header != ("county", "label", "value"):
-        raise ParseError(f"table {table_id}: bad header {header}")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"table {table_id} line {lineno}: expected 3 fields")
-        try:
-            value = float(row[2])
-        except ValueError:
-            raise ParseError(
-                f"table {table_id} line {lineno}: bad value {row[2]!r}"
-            ) from None
-        rows.append((row[0], row[1], value))
+    """Read a ``county,label,value`` CSV and index it by the categories.
+
+    Raises ``ParseError`` (``table <table_id> line N: ...``) for a row that
+    ``frames._csv_rows`` refuses: each (county, label) once, each value a
+    finite, non-negative number.
+    """
     by_county: dict[str, dict[str, float]] = {}
-    for county, label, value in rows:
-        if value < 0:
-            raise ValueError(f"table {table_id}: negative value for {county}/{label}")
-        labels = by_county.setdefault(county, {})
-        if label in labels:
-            raise ValueError(f"table {table_id}: duplicate label {label!r} for {county!r}")
-        labels[label] = value
+    for _, (county, label, _), (value,) in frames._csv_rows(
+            text, f"table {table_id}", ("county", "label", "value"), key=2, non_negative=True):
+        by_county.setdefault(county, {})[label] = value
     categories = tuple(categories)
     index: dict[str, int] = {}
     values: list[list[float]] = []
@@ -567,27 +550,11 @@ def census_profiles(
 
 
 def load_population_csv(text: str) -> dict[str, tuple[float, float]]:
-    """Read county head counts from a ``county,male,female`` CSV."""
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader, ()))
-    if header != ("county", "male", "female"):
-        raise ParseError(f"bad population header: {header}")
-    out: dict[str, tuple[float, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"population line {lineno}: expected 3 fields, got {len(row)}")
-        if row[0] in out:
-            raise ParseError(f"population line {lineno}: duplicate county {row[0]!r}")
-        try:
-            male, female = float(row[1]), float(row[2])
-        except ValueError:
-            raise ParseError(f"population line {lineno}: bad head count in {row[1:]}") from None
-        if not (0 <= male < math.inf and 0 <= female < math.inf):
-            raise ParseError(
-                f"population line {lineno}: head counts must be finite and "
-                f"non-negative, got {row[1:]}"
-            )
-        out[row[0]] = (male, female)
-    return out
+    """Read county head counts from a ``county,male,female`` CSV.
+
+    Raises ``ParseError`` (``population line N: ...``) for a row that
+    ``frames._csv_rows`` refuses: each county once, each head count a
+    finite, non-negative number.
+    """
+    return {cells[0]: (male, female) for _, cells, (male, female) in frames._csv_rows(
+        text, "population", ("county", "male", "female"), non_negative=True)}

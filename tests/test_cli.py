@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import datetime as dt
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bikepls.cli import main
-from bikepls.frames import TRANSITION_LABELS
+from bikepls.frames import TRANSITION_LABELS, load_analysis_table
 from conftest import FIXTURES, REPO_ROOT
 
 
@@ -81,7 +84,7 @@ class TestDerive:
 
     def test_bad_stations_row_exits_2_with_line(self, demo_config, tmp_path, capsys):
         for row, message in (("st_extra", "expected 3 or 4 fields, got 1"),
-                             ("st_extra,north,-105.0,X", "bad coordinates")):
+                             ("st_extra,north,-105.0,X", "bad number 'north'")):
             stations = tmp_path / "stations.csv"
             stations.write_text((FIXTURES / "stations.csv").read_text() + row + "\n")
             code = run_cli("--config", str(demo_config), "--output-dir",
@@ -104,7 +107,7 @@ class TestDerive:
     @pytest.mark.parametrize("key, message", [
         ("acs_income", "table income: bad header ()"),
         ("acs_age", "table age: bad header ()"),
-        ("population", "bad population header: ()"),
+        ("population", "population: bad header ()"),
     ])
     def test_empty_census_file_exits_2(self, demo_config, tmp_path, capsys, key, message):
         empty = tmp_path / "empty.csv"
@@ -113,6 +116,44 @@ class TestDerive:
                        "derive", "--" + key.replace("_", "-"), str(empty))
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_finite_census_cell_exits_2_with_line(self, demo_config, tmp_path, capsys):
+        income = tmp_path / "acs_income.csv"
+        income.write_text((FIXTURES / "acs_income.csv").read_text().replace(
+            "county_a,under_10k,120", "county_a,under_10k,nan"))
+        code = run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "out"),
+                       "derive", "--acs-income", str(income))
+        assert code == 2
+        assert capsys.readouterr().err == "error: table income line 2: bad number 'nan'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_county_set_without_men_fails_per_station(self, demo_config, tmp_path):
+        population = tmp_path / "population.csv"
+        population.write_text("county,male,female\ncounty_a,0,50000\ncounty_b,0,62000\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(demo_config), "--output-dir", str(out),
+                       "derive", "--population", str(population)) == 2
+        assert (out / "derive_errors.csv").read_text().splitlines() == [
+            "station_id,error,message",
+            "st_cherry,InvalidProfile,male_female_ratio must be positive",
+            "st_platte,InvalidProfile,male_female_ratio must be positive",
+        ]
+        assert (out / "analysis_table.csv").read_text().count("\n") == 1
+
+    def test_census_sum_overflow_fails_per_station(self, demo_config, tmp_path):
+        # each cell is finite, but st_platte's catchment sums two of them to inf
+        rows = (FIXTURES / "acs_income.csv").read_text().splitlines()
+        income = tmp_path / "acs_income.csv"
+        income.write_text("\n".join(
+            row.rsplit(",", 1)[0] + ",1e308" if ",10k_to_15k," in row else row
+            for row in rows) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(demo_config), "--output-dir", str(out),
+                       "derive", "--acs-income", str(income)) == 2
+        assert (out / "derive_errors.csv").read_text().splitlines()[1:] == [
+            "st_platte,InvalidProfile,avg_income nan is not finite"]
+        ids, _, _ = load_analysis_table((out / "analysis_table.csv").read_text())
+        assert ids == ("st_cherry",)
 
     def test_error_rows_have_three_fields(self, demo_config, tmp_path):
         # county_a loses one income category; its message contains a comma
@@ -188,6 +229,25 @@ def write_region(directory, rng, side=4):
 class TestPipeline:
     """``derive`` writes the analysis table that ``analyze`` reads."""
 
+    def test_constant_predictor_names_column_and_table(self, tmp_path, capsys):
+        # a second station in the one county of a 1 x 1 region: both
+        # stations share every predictor
+        config = write_region(tmp_path, np.random.default_rng(7), side=1)
+        stations = tmp_path / "stations.csv"
+        stations.write_text(stations.read_text() + "st_twin,39.13,-105.37,Twin\n")
+        for path in json.loads(config.read_text())["counts_csv"]:
+            lines = Path(path).read_text().splitlines()
+            twin = [line.replace("st_0_0,", "st_twin,") for line in lines[1:]]
+            Path(path).write_text("\n".join(lines + twin) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config), "--output-dir", str(out), "derive") == 0
+        capsys.readouterr()
+        table = out / "analysis_table.csv"
+        assert run_cli("--output-dir", str(out), "analyze", "--input", str(table)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {table}: predictor 'avg_income' is constant; "
+            "standardization undefined\n")
+
     def derive_then_analyze(self, config, out, components, capsys):
         assert run_cli("--config", str(config), "--output-dir", str(out), "derive") == 0
         capsys.readouterr()
@@ -247,6 +307,41 @@ class TestFetch:
         assert text.startswith("station_id,date,count\n")
         assert text.count("\n") == 17
 
+    def test_quoted_station_id_reaches_derive(self, demo_config, tmp_path):
+        # an id holding a comma travels stations -> fetch -> counts.csv -> derive
+        responses = tmp_path / "responses"
+        responses.mkdir()
+        manifest = json.loads((FIXTURES / "responses/manifest.json").read_text())
+        for name in manifest.values():
+            (responses / name).write_text((FIXTURES / "responses" / name).read_text())
+        url = "https://counts.example/api?station=a,b&start=2020-01-01&end=2020-12-31"
+        manifest[url] = "a_b_2020.csv"
+        (responses / "manifest.json").write_text(json.dumps(manifest))
+        (responses / "a_b_2020.csv").write_text(
+            (FIXTURES / "responses/st_cherry_2020.csv").read_text().replace(
+                "st_cherry,", '"a,b",'))
+        stations = tmp_path / "stations.csv"
+        stations.write_text((FIXTURES / "stations.csv").read_text()
+                            + '"a,b",39.65,-104.95,x\n')
+        counts_2018 = tmp_path / "counts_2018.csv"
+        lines = (FIXTURES / "counts_2018.csv").read_text().splitlines()
+        counts_2018.write_text("\n".join(
+            lines + [line.replace("st_cherry,", '"a,b",') for line in lines
+                     if line.startswith("st_cherry,")]) + "\n")
+
+        out = tmp_path / "out"
+        assert run_cli("--config", str(demo_config), "--output-dir", str(out), "fetch",
+                       "--cache-dir", str(tmp_path / "cache"), "--fixtures", str(responses),
+                       "--stations", str(stations)) == 0
+        assert run_cli("--config", str(demo_config), "--output-dir", str(out), "derive",
+                       "--stations", str(stations), "--counts-csv", str(counts_2018),
+                       str(out / "counts.csv")) == 0
+        with open(out / "analysis_table.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [row[0] for row in rows[1:]] == ["a,b", "st_cherry", "st_platte"]
+        # the station with a comma has st_cherry's counts and location
+        assert rows[1][1:] == rows[2][1:]
+
     def test_unrecorded_url_is_internal_error(self, demo_config, tmp_path, capsys):
         code = run_cli("--config", str(demo_config), "--output-dir",
                        str(tmp_path / "out"), "fetch",
@@ -291,7 +386,7 @@ class TestAnalyze:
         (lambda row: row + ",7", "analysis table line 3: expected 9 fields, got 10"),
         (lambda row: row.rsplit(",", 1)[0], "analysis table line 3: expected 9 fields, got 8"),
         (lambda row: row.replace(",0.79,", ",high,"), "analysis table line 3: bad number 'high'"),
-        (lambda row: "0" + row[1:], "analysis table line 3: duplicate station '0'"),
+        (lambda row: "0" + row[1:], "analysis table line 3: duplicate station_id '0'"),
     ])
     def test_bad_table_row_exits_2_with_line(self, table1_text, tmp_path, capsys,
                                              edit, message):
@@ -584,3 +679,67 @@ class TestDeriveRelations:
             shared += len(profiles) - len(set(profiles))
         assert {"EmptyPeriod", "ZeroBaseline", "MissingCounty"} <= kinds
         assert rows > 20 and shared > 5
+
+
+# Faults in the raw inputs of a random region, as ``inject_fault`` makes
+# them; the first three are refused by the loaders, the others by station.
+CELL_FAULTS = {"nan": "nan", "inf": "inf", "negative": "-1"}
+STATION_FAULTS = ("no_men", "overflow", "comma_id", "quote_id")
+
+
+def inject_fault(lines: dict[str, list[str]], rng: random.Random) -> str:
+    """Put one fault into the rows of ``random_region_lines``; return its kind."""
+    kind = rng.choice(list(CELL_FAULTS) + list(STATION_FAULTS))
+    if kind in CELL_FAULTS:
+        key = rng.choice(["acs_income", "acs_education", "acs_age", "population"])
+        k = rng.randrange(len(lines[key]))
+        cells = lines[key][k].split(",")
+        cells[rng.choice([1, 2] if key == "population" else [2])] = CELL_FAULTS[kind]
+        lines[key][k] = ",".join(cells)
+    elif kind == "no_men":
+        # about half the counties, so that some county sets have no men at all
+        lines["population"] = [
+            "{},0,{}".format(*row.split(",")[::2]) if rng.random() < 0.5 else row
+            for row in lines["population"]]
+    elif kind == "overflow":
+        # finite cells in one column of every county, whose sum over two is inf
+        key = rng.choice(["acs_income", "acs_education", "acs_age", "population"])
+        if key == "population":
+            lines[key] = [row.split(",")[0] + ",1e308," + row.split(",")[2]
+                          for row in lines[key]]
+        else:
+            label = rng.choice(lines[key]).split(",")[1]
+            lines[key] = [row.rsplit(",", 1)[0] + ",1e308" if row.split(",")[1] == label
+                          else row for row in lines[key]]
+    else:
+        sid = f"s{rng.randrange(14):02d},"
+        quoted = '"a,b",' if kind == "comma_id" else '"q""t",'
+        for key in ("stations", "counts"):
+            lines[key] = [quoted + row[len(sid):] if row.startswith(sid) else row
+                          for row in lines[key]]
+    return kind
+
+
+class TestDeriveChain:
+    """``derive`` either refuses a bad input file by its line, or accounts
+    for every station and writes a table that ``analyze`` can load."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(region=st.integers(0, 2**32 - 1), fault=st.integers(0, 2**32 - 1))
+    def test_output_is_the_next_input(self, region, fault):
+        lines = random_region_lines(random.Random(region))
+        kind = inject_fault(lines, random.Random(fault))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            out = derive_outputs(Path(tmp) / "r", lines, None, False)
+        if kind in CELL_FAULTS:
+            assert out == {"exit": 2}
+            assert re.fullmatch(r"error: (table (income|education|age)|population) line \d+: "
+                                r"(bad|negative) number '[^']*'\n", err.getvalue())
+            return
+        stations = [row[0] for row in csv.reader(lines["stations"])]
+        ids, _, _ = load_analysis_table(out["analysis_table.csv"].decode())
+        errors = out.get("derive_errors.csv", b"station_id,error,message\n").decode()
+        failed = [row[0] for row in csv.reader(io.StringIO(errors))][1:]
+        assert sorted([*ids, *failed]) == sorted(stations)
+        assert out["exit"] == (2 if failed else 0)

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import io
+import math
 import re
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from bikepls.errors import (
     EmptyHouseholds,
     EmptyPeriod,
+    InvalidProfile,
     LengthMismatch,
     ParseError,
     ZeroBaseline,
@@ -331,7 +333,7 @@ class TestStandardize:
         )
 
     def test_constant_column(self):
-        with pytest.raises(ZeroVariance):
+        with pytest.raises(ZeroVariance, match="^column is constant; standardization undefined$"):
             standardize([5, 5, 5])
 
     def test_too_short(self):
@@ -464,9 +466,6 @@ class TestSchedule:
                 }
             )
 
-    def test_placeholder_valid(self):
-        PeriodSchedule.placeholder_2020()
-
     def test_window_across_new_year_rejected(self):
         # totals map a window onto one year, which such a window cannot fit
         with pytest.raises(ValueError, match="^period 'Normalization' crosses New Year"):
@@ -557,8 +556,17 @@ class TestAssembleFrame:
         twins = _profiles_for({"a": (4.2, 5.1, 35.2, 98000, 0.96),
                                "b": (4.2, 5.1, 35.2, 98000, 0.96)})
         rates = TransitionTable({"a": (1.0, 1.0, 1.0), "b": (1.0, 1.0, 1.0)})
-        with pytest.raises(ZeroVariance):
+        with pytest.raises(ZeroVariance, match="^predictor 'avg_income' is constant; "):
             frames_from_analysis_table(table_text(twins, rates))
+
+    def test_constant_response_named_when_standardized(self):
+        rates = TransitionTable({s: (1.0, 2.0 + k, 3.0) for k, s in enumerate(sorted(PROFILES))})
+        text = table_text(PROFILES, rates)
+        assert frames_from_analysis_table(text)["pre_pandemic_to_pandemic"].y.tolist() == \
+            [1.0] * len(PROFILES)
+        with pytest.raises(ZeroVariance, match="^response 'pre_pandemic_to_pandemic' is "
+                                               "constant; standardization undefined$"):
+            frames_from_analysis_table(text, standardize_y=True)
 
 
 class TestAnalysisTable:
@@ -584,7 +592,8 @@ class TestAnalysisTable:
         assert diff < 0.005
 
     def test_bad_header(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError,
+                           match=r"^analysis table: bad header \('station', 'avg_income'\)$"):
             load_analysis_table("station,avg_income\n0,1\n")
 
     def test_duplicate_station(self, table1_text):
@@ -601,7 +610,7 @@ BAD_ROW_EDITS = [
     (lambda cells: cells[:2] + [""] + cells[3:], "bad number ''"),
     (lambda cells: cells[:2] + ["inf"] + cells[3:], "bad number 'inf'"),
     (lambda cells: cells[:8] + ["nan"], "bad number 'nan'"),
-    (lambda cells: ["1"] + cells[1:], "duplicate station '1'"),
+    (lambda cells: ["1"] + cells[1:], "duplicate station_id '1'"),
 ]
 
 
@@ -620,8 +629,14 @@ class TestAnalysisTableRows:
             load_analysis_table(text)
 
     def test_empty_text_is_a_bad_header(self):
-        with pytest.raises(ValueError, match="bad analysis table header"):
+        with pytest.raises(ParseError, match=r"^analysis table: bad header \(\)$"):
             load_analysis_table("")
+
+    def test_field_over_the_csv_limit_names_its_line(self, table1_text):
+        lines = table1_text.strip().splitlines()
+        lines[2] = "x" * (csv.field_size_limit() + 1) + lines[2]
+        with pytest.raises(ParseError, match=r"^analysis table line 3: field larger than "):
+            load_analysis_table("\n".join(lines) + "\n")
 
     def test_frames_share_one_predictor_matrix(self, table1_frames):
         first = table1_frames[TRANSITION_LABELS[0]]
@@ -705,9 +720,23 @@ class TestCsvRoundTrips:
 
 class TestProfileValidation:
     def test_education_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidProfile, match=r"^avg_education 9\.5 outside \[0, 8\]$"):
             SocioeconomicProfile(4.0, 9.5, 30.0, 1000, 1.0)
 
     def test_population_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidProfile, match="^total_population must be positive$"):
             SocioeconomicProfile(4.0, 5.0, 30.0, 0, 1.0)
+
+    def test_ratio_positive(self):
+        with pytest.raises(InvalidProfile, match="^male_female_ratio must be positive$"):
+            SocioeconomicProfile(4.0, 5.0, 30.0, 1000, 0.0)
+
+    @pytest.mark.parametrize("values, message", [
+        ((math.nan, 5.0, 30.0, 1000, 1.0), "avg_income nan is not finite"),
+        ((4.0, 5.0, -math.inf, 1000, 1.0), "avg_age -inf is not finite"),
+        ((4.0, 5.0, 30.0, math.inf, 1.0), "total_population inf is not finite"),
+        ((4.0, 5.0, 30.0, 1000, math.inf), "male_female_ratio inf is not finite"),
+    ])
+    def test_values_finite(self, values, message):
+        with pytest.raises(InvalidProfile, match=f"^{message}$"):
+            SocioeconomicProfile(*values)
