@@ -113,10 +113,13 @@ def _require(value, what: str):
 
 
 def _read(path: str, what: str) -> str:
+    """The text of a file, line ends untranslated, so that a quoted cell
+    keeps a carriage return as the counts parser keeps it."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"{what} file not found: {p}")
-    return p.read_text()
+    with p.open(newline="") as f:
+        return f.read()
 
 
 def _make_transport(cfg: RunConfig):
@@ -147,7 +150,7 @@ def cmd_fetch(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
     import datetime as dt
     import json
 
-    from . import catchment, frames, ingest
+    from . import catchment, ingest
 
     stations = catchment.load_stations_csv(_read(_require(cfg.stations, "stations"), "stations"))
     start = dt.date.fromisoformat(_require(cfg.start, "start date"))
@@ -165,7 +168,7 @@ def cmd_fetch(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
     series = ingest.fetch_many(source, [s.station_id for s in stations], start, end, transport)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "counts.csv").write_text(
-        frames.counts_to_csv_text(series[station] for station in sorted(series))
+        ingest.counts_to_csv_text(series[station] for station in sorted(series))
     )
     summary = {"stations": len(series), "rows": sum(len(s) for s in series.values())}
     print(json.dumps(summary) if as_json else

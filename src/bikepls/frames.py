@@ -133,26 +133,6 @@ def merge_counts(first: Counts, second: Counts) -> Counts:
     return merged
 
 
-def counts_to_csv_text(parts: Iterable[Counts]) -> str:
-    """The counts CSV of ``parts``, one after another, rows in their order.
-
-    Station ids are quoted as ``csv.writer`` quotes them with its default
-    ``\\r\\n`` terminator: only an id that holds a comma, a quote, ``\\r``
-    or ``\\n``, with its quotes doubled.
-    """
-    iso: dict[int, str] = {}
-    lines = [",".join(COUNTS_CSV_HEADER) + "\n"]
-    for counts in parts:
-        days = counts.day.tolist()
-        for day in set(days).difference(iso):
-            iso[day] = dt.date.fromordinal(day).isoformat()
-        ids = ['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
-               for s in counts.station_ids]
-        lines += [f"{ids[k]},{iso[d]},{c}\n"
-                  for k, d, c in zip(counts.station.tolist(), days, counts.count.tolist())]
-    return "".join(lines)
-
-
 @dataclass(frozen=True)
 class PeriodSchedule:
     """The four analysis windows, in fixed order, non-overlapping.
@@ -226,14 +206,23 @@ class TransitionTable:
         )
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field, quoted as ``csv.writer`` quotes it with its
+    default ``\\r\\n`` terminator: only when it holds a comma, a quote,
+    ``\\r`` or ``\\n``, with its quotes doubled."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_text(header: Sequence[str], rows: Iterable[tuple[str, Sequence[float]]]) -> str:
-    """``header``, then one ``station,value,...`` line per row, each value
-    written as ``repr(float)`` so that it parses back to the same double."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([station] + [repr(float(v)) for v in values] for station, values in rows)
-    return buf.getvalue()
+    """``header``, then one ``station,value,...`` line per row, the station
+    quoted by ``_csv_field`` and each value written as ``repr(float)`` so
+    that it parses back to the same double."""
+    lines = [",".join(header)]
+    lines += [",".join([_csv_field(station), *(repr(float(v)) for v in values)])
+              for station, values in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _csv_rows(text: str, what: str, header: Sequence[str], key: int = 1, optional: int = 0,
@@ -253,7 +242,8 @@ def _csv_rows(text: str, what: str, header: Sequence[str], key: int = 1, optiona
         first row at fault (or text the csv module refuses), numbered by
         physical line.
     """
-    reader = csv.reader(io.StringIO(text))
+    # Lines end at \n, \r\n or a bare \r, as in a file opened with newline="".
+    reader = csv.reader(io.StringIO(text, newline=""))
     stop = len(header) - optional
     widths = range(stop, len(header) + 1)
     seen: set = set()

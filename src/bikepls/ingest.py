@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -141,59 +141,219 @@ class ResponseCache:
             path.unlink(missing_ok=True)
 
 
-# Characters (or records, where the text needs the csv module) of a counts
-# file turned into arrays at a time, which bounds the memory their field
-# strings take.
+# Bytes (or records, where the text needs the csv module) of a counts file
+# turned into arrays at a time, which bounds the memory their cells take.
 _COUNTS_CHUNK = 1 << 20
 _COUNTS_BATCH = 1 << 15
 
-# One batch of counts cells: the line numbers, the station, date and count
-# texts, and the error of a record that ends the records read, with its
-# line (a row of another width than 3, or text the csv module refuses), or
-# None.
-_Cells = tuple[np.ndarray, Sequence[str], Sequence[str], Sequence[str],
+# One batch of counts rows: the line numbers, station codes, day ordinals
+# (0 for a bad date) and counts (-1 for a bad one), and the error of a
+# record that ends the records read, with its line (a row of another width
+# than 3, or text the csv module refuses), or None.
+_Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                "tuple[int, Exception] | None"]
 
 
-def _counts_cells(data: bytes, text: str) -> tuple[list[str] | None, Iterator[_Cells]]:
-    """The header record of a counts CSV and batches of its other cells,
+def _word_masks(template: bytes) -> np.ndarray:
+    """Masks that test 8-byte little-endian words against ``template``: a
+    (4, k) array of rows (high, pattern, carry, low) for a template of k
+    words. In the template a digit stands for an ASCII digit no greater
+    than it, ``?`` for any byte, and any other byte for itself.
+
+    A word ``x`` matches when ``x & high == pattern`` (each digit's high
+    nibble is 3, each other byte itself) and ``(x + carry) & high ==
+    pattern`` (adding ``15 - d`` to the low nibble of a digit that may be
+    up to ``d`` does not carry into its high nibble). ``x & low`` then
+    holds each digit's value in its byte.
+    """
+    t = np.frombuffer(template, np.uint8)
+    digit, free = (t >= ord("0")) & (t <= ord("9")), t == ord("?")
+    rows = (np.where(digit, 0xF0, np.where(free, 0, 0xFF)), np.where(digit, 0x30, t * ~free),
+            np.where(digit, 15 - (t - ord("0")), 0), np.where(digit, 0x0F, 0))
+    return np.array(rows, np.uint8).view("<u8")
+
+
+def _cell_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """What reads a line's date and count from 2 + k words: the two that
+    end at the comma before the count, then the k that end at the line's
+    end.
+
+    The masks, (4, 2 + k, 8k + 2), test a plain date (``YYYY-MM-DD`` after
+    the first comma, with a month's first digit at most 1) and a plain
+    count of each size up to 8k + 1 digits (the last index). A count of no
+    digits or of more than 18 matches no text: its template wants bytes
+    0xFF, which UTF-8 never holds. The places, (2 + k, 8, 2 + 2k), turn the
+    words' digit bytes into the date's month index (``20 * year + month``)
+    and day of the month, then the count's value four digits at a time.
+    Each is below 2**24, so float32 holds it exactly.
+    """
+    date = b"?????,9999-19-99"
+    masks = np.stack([_word_masks(date + (b"?" * (8 * k - size) + b"9" * size
+                                         if 1 <= size <= min(18, 8 * k) else b"\xff" * 8 * k))
+                      for size in range(8 * k + 2)], axis=-1)
+    places = np.zeros((16 + 8 * k, 2 + 2 * k), np.float32)
+    places[[6, 7, 8, 9, 11, 12, 14, 15], [0, 0, 0, 0, 0, 0, 1, 1]] = [20000, 2000, 200, 20,
+                                                                      10, 1, 10, 1]
+    for j in range(2 * k):
+        places[16 + 4 * j:20 + 4 * j, 2 + j] = [1000, 100, 10, 1]
+    return masks, places.reshape(2 + k, 8, 2 + 2 * k)
+
+
+# Counts of up to 8, 16 and 24 digits; a plain count has 1 to 18.
+_CELL_TABLES = {k: _cell_tables(k) for k in (1, 2, 3)}
+
+
+def _month_table() -> tuple[np.ndarray, np.ndarray]:
+    """For each year from 0 to 9999 and month from 0 to 19, at index
+    ``20 * year + month``: the days from 0001-01-01 to the month's first
+    day, and the days in the month (none in year 0, month 0 and months 13
+    to 19). A day's ordinal (``date.toordinal``) is its month's first
+    entry plus its day of the month."""
+    year = np.arange(10000)[:, None]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    days = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31] + [0] * 7,
+                    np.uint8) + (leap & (np.arange(20) == 2))
+    days[0] = 0
+    days = days.ravel()
+    return np.cumsum(days, dtype=np.int32) - days, days
+
+
+_DAYS_BEFORE, _MONTH_DAYS = _month_table()
+
+# The masks that keep the last j bytes of a word, for j from 0 to 8.
+_LAST_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * j)) for j in range(9)], np.uint64)
+
+
+def _counts_batches(data: bytes, text: str,
+                    codes: dict[str, int]) -> tuple[list[str] | None, Iterator[_Batch]]:
+    """The header record of a counts CSV and batches of its other rows,
     split as ``csv.reader`` splits them; line numbers count records.
+    Station codes index ``codes``, which gains each new station.
 
     ``text`` is ``data`` decoded. Text with no quote, carriage return or
     NUL, no line over the field size limit, and exactly three fields on
-    every line is split on newlines and commas directly, a chunk of lines
-    at a time; any other text goes through ``csv.reader``.
+    every line is read from its bytes by ``_byte_rows``; any other text
+    goes through ``csv.reader``.
     """
-    if '"' not in text and "\r" not in text and "\x00" not in text:
+    if b'"' not in data and b"\r" not in data and b"\x00" not in data:
         # Newline and comma bytes are the characters themselves in UTF-8.
         raw = np.frombuffer(data, np.uint8)
-        ends = np.flatnonzero(raw == 10)
-        if not data.endswith(b"\n"):
-            ends = np.append(ends, len(raw))
-        commas = np.diff(np.searchsorted(np.flatnonzero(raw == 44), ends), prepend=0)
-        if (commas == 2).all() and np.diff(ends, prepend=-1).max() <= csv.field_size_limit():
-            first = text.find("\n")
-            if first < 0:
-                first = len(text)
-            return text[:first].split(","), _line_batches(text, first + 1)
+        seps = np.flatnonzero((raw == 44) | (raw == 10))
+        kinds = raw[seps]
+        if not data.endswith(b"\n"):  # the last line ends where the data does
+            seps, kinds = np.append(seps, len(raw)), np.append(kinds, 10)
+        # On each line a comma, a comma, then the line's end.
+        if len(seps) % 3 == 0 and (kinds.reshape(-1, 3) == (44, 44, 10)).all():
+            seps = seps.reshape(-1, 3)
+            ends = seps[:, 2]
+            if (ends[1:] - ends[:-1]).max(initial=ends[0] + 1) <= csv.field_size_limit():
+                return data[:ends[0]].decode().split(","), _byte_batches(data, seps, codes)
     records = csv.reader(io.StringIO(text))
-    return next(records, None), _record_batches(records)
+    return next(records, None), _record_batches(records, codes)
 
 
-def _line_batches(text: str, pos: int) -> Iterator[_Cells]:
-    """Cells of the lines from ``pos`` on, each line holding three fields."""
-    lineno = 1
-    while pos < len(text):
-        end = text.find("\n", pos + _COUNTS_CHUNK)
-        end = len(text) if end < 0 else end + 1
-        cells = text[pos:end].rstrip("\n").replace("\n", ",").split(",")
-        n = len(cells) // 3
-        yield np.arange(lineno + 1, lineno + 1 + n), cells[0::3], cells[1::3], cells[2::3], None
-        lineno += n
-        pos = end
+def _byte_batches(data: bytes, seps: np.ndarray, codes: dict[str, int]) -> Iterator[_Batch]:
+    """The rows of the lines after the first, about ``_COUNTS_CHUNK``
+    bytes of lines at a time, given each line's two commas and end."""
+    starts, seps = seps[:-1, 2] + 1, seps[1:]
+    lo = 0
+    while lo < len(seps):
+        hi = max(lo + 1, int(seps[:, 2].searchsorted(starts[lo] + _COUNTS_CHUNK)))
+        yield _byte_rows(data, starts[lo:hi], seps[lo:hi], lo + 2, codes)
+        lo = hi
 
 
-def _record_batches(records: Iterator[list[str]]) -> Iterator[_Cells]:
+def _byte_rows(data: bytes, start: np.ndarray, seps: np.ndarray, first: int,
+               codes: dict[str, int]) -> _Batch:
+    """The rows of lines numbered from ``first``, each ``station,date,count``
+    from ``start`` with its two commas and its end in ``seps``.
+
+    Plain dates and counts are decoded from the bytes; a line with any
+    other date or count text takes the per-cell conversions.
+    """
+    sep, last, end = seps.T
+    # The 8 bytes from each offset of ``data`` as one word. A word read here
+    # starts at most 22 bytes before its line, after the 22-byte header,
+    # so it lies within ``data``.
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+    plain, day, count = _plain_cells(words, last, end)
+    odd = np.flatnonzero(~plain)
+    if len(odd):
+        spans = (sep[odd].tolist(), last[odd].tolist(), end[odd].tolist())
+        count = _cell_values(day, count, odd,
+                             [data[a + 1:b].decode() for a, b in zip(spans[0], spans[1])],
+                             [data[a + 1:b].decode() for a, b in zip(spans[1], spans[2])])
+    station = _station_codes(data, words, start, sep, codes)
+    return np.arange(first, first + len(start)), station, day, count, None
+
+
+def _plain_cells(words: np.ndarray, last: np.ndarray,
+                 end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which lines hold a plain date and count, with their day ordinals and
+    counts (meaningless on the other lines), given each line's second
+    comma and end.
+
+    The digit bytes of the two words that end at the comma and the k that
+    end at the line's end are tested and weighted by the cell tables of
+    the longest count (up to 18 digits).
+    """
+    n = len(last)
+    size = end - last - 1
+    k = (min(int(size.max()), 18) + 7) // 8 or 1
+    masks, places = _CELL_TABLES[k]
+    at = np.empty((2 + k, n), np.int64)
+    at[0], at[1] = last - 16, last - 8
+    for j in range(k):
+        at[2 + j] = end - 8 * (k - j)
+    x = words[at]
+    high, pattern, carry, low = masks.take(np.minimum(size, 8 * k + 1), axis=-1)
+    bad = ((x & high) ^ pattern) | (((x + carry) & high) ^ pattern)
+    values = np.matmul((x & low).view(np.uint8).reshape(2 + k, n, 8), places).sum(axis=0)
+    month, day_of_month, *parts = values.astype(np.int64).T
+    # A real calendar day: its month (``20 * year + month``) has days in the
+    # table, and its day of the month is one of them.
+    month = np.minimum(month, len(_MONTH_DAYS) - 1)  # on lines that did not match
+    day = _DAYS_BEFORE[month] + day_of_month
+    plain = ~bad.any(axis=0) & (day_of_month >= 1) & (day_of_month <= _MONTH_DAYS[month])
+    count = parts[0]
+    for part in parts[1:]:
+        count = count * 10**4 + part
+    return plain, day, count
+
+
+def _station_codes(data: bytes, words: np.ndarray, start: np.ndarray, sep: np.ndarray,
+                   codes: dict[str, int]) -> np.ndarray:
+    """The code of each line's station, the id from ``start`` to the comma
+    at ``sep``, decoded on the first line of each run of lines with the
+    same id bytes.
+
+    A line starts a run unless its id and the comma after it have the
+    previous line's length and bytes, compared 8 bytes at a time back from
+    the comma. In the first 8 bytes the comma's place tells lengths apart
+    (the text holds no NUL); past them, lengths are compared first.
+    """
+    size = sep - start + 1
+    key = words[sep - 7] & _LAST_BYTES[np.minimum(size, 8)]
+    new = np.empty(len(start), bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    if size.max() > 8:
+        new[1:] |= size[1:] != size[:-1]
+        pairs = np.flatnonzero(~new & (size > 8))
+        back = 8
+        while len(pairs):
+            differ = ((words[sep[pairs] - 7 - back] ^ words[sep[pairs - 1] - 7 - back])
+                      & _LAST_BYTES[np.minimum(size[pairs] - back, 8)]) != 0
+            new[pairs[differ]] = True
+            back += 8
+            pairs = pairs[~differ & (size[pairs] > back)]
+    runs = np.flatnonzero(new)
+    run_codes = [codes.setdefault(data[a:b].decode(), len(codes))
+                 for a, b in zip(start[runs].tolist(), sep[runs].tolist())]
+    return np.array(run_codes, np.int64)[np.cumsum(new) - 1]
+
+
+def _record_batches(records: Iterator[list[str]], codes: dict[str, int]) -> Iterator[_Batch]:
     lineno = 1
     while True:
         batch: list[list[str]] = []
@@ -214,9 +374,28 @@ def _record_batches(records: Iterator[list[str]]) -> Iterator[_Cells]:
                 break
         lineno += len(batch)
         stations, dates, texts = zip(*rows) if rows else ((), (), ())
-        yield np.array(numbers, dtype=np.int64), stations, dates, texts, stop
+        n = len(rows)
+        station = np.array([codes.setdefault(s, len(codes)) for s in stations], np.int64)
+        day = np.zeros(n, np.int64)
+        count = _cell_values(day, np.zeros(n, np.int64), np.arange(n), dates, texts)
+        yield np.array(numbers, dtype=np.int64), station, day, count, stop
         if stop:
             return
+
+
+def _cell_values(day: np.ndarray, count: np.ndarray, rows: np.ndarray,
+                 dates: Sequence[str], texts: Sequence[str]) -> np.ndarray:
+    """Set ``day`` and ``count`` at ``rows`` from the per-cell conversions
+    of their date and count texts; return ``count``, of object type when a
+    value does not fit int64."""
+    day[rows] = list(map(_day_ordinal, dates))
+    values = list(map(_count_value, texts))
+    try:
+        count[rows] = values
+    except OverflowError:
+        count = count.astype(object)
+        count[rows] = values
+    return count
 
 
 # Cell conversions, memoized: a counts file repeats the same few hundred
@@ -252,29 +431,19 @@ def parse_counts_csv(data: bytes) -> Counts:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"counts payload is not UTF-8: {exc}") from exc
-    header, batches = _counts_cells(data, text)
+    codes: dict[str, int] = {}
+    header, batches = _counts_batches(data, text, codes)
     if header is None:
         raise ParseError("line 1: empty counts payload")
     if tuple(header) != COUNTS_CSV_HEADER:
         raise ParseError(f"line 1: bad counts header {tuple(header)}")
 
-    codes: dict[str, int] = {}
     columns: list[tuple[np.ndarray, ...]] = []
     stop = None
-    for numbers, stations, dates, texts, stop in batches:
-        for station in dict.fromkeys(stations):
-            codes.setdefault(station, len(codes))
-        n = len(numbers)
-        day = np.fromiter(map(_day_ordinal, dates), np.int64, n)
-        try:
-            count = np.fromiter(map(_count_value, texts), np.int64, n)
-            wide = n > 0 and count.max() >= 2**31
-        except OverflowError:
-            wide = True
-        if wide:  # Python ints keep the period totals exact
-            count = np.fromiter(map(_count_value, texts), object, n)
-        columns.append((np.fromiter(map(codes.__getitem__, stations), np.int64, n),
-                        day, count, numbers))
+    for numbers, station, day, count, stop in batches:
+        if count.dtype != object and len(count) and count.max() >= 2**31:
+            count = count.astype(object)  # Python ints keep the period totals exact
+        columns.append((station, day, count, numbers))
         if (day == 0).any() or (count < 0).any():
             break  # a later line cannot be the first at fault
 
@@ -307,6 +476,23 @@ def parse_counts_csv(data: bytes) -> Counts:
     raise ParseError(f"line {lineno}: duplicate observation for ({station_text}, {date})")
 
 
+def counts_to_csv_text(parts: Iterable[Counts]) -> str:
+    """The counts CSV of ``parts``, one after another, rows in their order,
+    which ``parse_counts_csv`` reads back. Station ids are quoted by
+    ``frames._csv_field``."""
+    iso: dict[int, str] = {}
+    texts = [",".join(COUNTS_CSV_HEADER) + "\n"]
+    for counts in parts:
+        days = counts.day.tolist()
+        for day in set(days).difference(iso):
+            iso[day] = dt.date.fromordinal(day).isoformat()
+        ids = [frames._csv_field(s) for s in counts.station_ids]
+        # One text per part: the lines of all parts are never held at once.
+        texts.append("".join([f"{ids[k]},{iso[d]},{c}\n" for k, d, c in
+                              zip(counts.station.tolist(), days, counts.count.tolist())]))
+    return "".join(texts)
+
+
 def fetch_counts(
     config: SourceConfig,
     station_id: str,
@@ -317,25 +503,25 @@ def fetch_counts(
 ) -> Counts:
     """Fetch (or replay) the counts for one station over a date range.
 
-    A warm cache entry that covers the range is served with no transport
+    A warm cache entry for the request URL is served with no transport
     call; a corrupt entry is evicted and refetched. Live responses are
     stored verbatim before parsing, so parsing is deterministic from bytes.
     """
     if start > end:
         raise ValueError("range start is after range end")
     cache = cache or ResponseCache(config.cache_dir)
-    key = f"{station_id}|{start.isoformat()}|{end.isoformat()}"
+    # Keyed on the request itself, so that another source's bytes are never served.
+    url = config.counts_url_template.format(
+        station=station_id, start=start.isoformat(), end=end.isoformat()
+    )
     try:
-        body = cache.load(key)
+        body = cache.load(url)
     except CacheCorrupt:
-        cache.evict(key)
+        cache.evict(url)
         body = None
     if body is None:
-        url = config.counts_url_template.format(
-            station=station_id, start=start.isoformat(), end=end.isoformat()
-        )
         body = _get_with_retries(transport, url, config.retries)
-        cache.store(key, body)
+        cache.store(url, body)
     counts = parse_counts_csv(body)
     if station_id not in counts.station_ids:
         raise ParseError(f"response contains no rows for station {station_id!r}")
@@ -463,9 +649,12 @@ class CensusTable:
             if error is None:
                 index[k, : len(counties)] = [self.rows[c] for c in counties]
         totals = np.zeros((len(county_sets), len(self.categories)))
-        for column in index.T:
-            used = column >= 0
-            totals[used] += self.values[column[used]]
+        # A total past the largest double is inf; the profile built from it
+        # is refused by name (InvalidProfile), so numpy need not warn.
+        with np.errstate(over="ignore"):
+            for column in index.T:
+                used = column >= 0
+                totals[used] += self.values[column[used]]
         return totals, errors
 
     def _problem(self, county: str) -> BikeplsError | None:

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -278,6 +279,43 @@ class TestPipeline:
                             for r, p in zip(rates[1:], profiles[1:])]
 
 
+class TestCarriageReturnIds:
+    """A station id holding a carriage return reads the same from the
+    stations file, the counts files and the analysis table."""
+
+    def test_id_survives_derive_and_analyze(self, demo_config, tmp_path, capsys):
+        quoted = b'"st\rcherry",'
+        stations = tmp_path / "stations.csv"
+        stations.write_bytes((FIXTURES / "stations.csv").read_bytes()
+                             .replace(b"st_cherry,", quoted))
+        counts = []
+        for name in ("counts_2018.csv", "counts_2020.csv"):
+            counts.append(tmp_path / name)
+            counts[-1].write_bytes((FIXTURES / name).read_bytes().replace(b"st_cherry,", quoted))
+        out = tmp_path / "out"
+        assert run_cli("--config", str(demo_config), "--output-dir", str(out), "derive",
+                       "--stations", str(stations),
+                       "--counts-csv", *map(str, counts)) == 0
+        for name in ("profiles.csv", "transitions.csv", "analysis_table.csv"):
+            with open(out / name, newline="") as f:
+                assert [row[0] for row in csv.reader(f)][1:] == ["st\rcherry", "st_platte"]
+        table = out / "analysis_table.csv"
+        assert run_cli("--output-dir", str(out), "analyze", "--components", "1",
+                       "--input", str(table)) == 0
+        doc = json.loads((out / "analysis.json").read_text())
+        assert doc["station_ids"] == ["st\rcherry", "st_platte"]
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_stations_line_ends(self, demo_config, tmp_path, newline):
+        stations = tmp_path / "stations.csv"
+        stations.write_bytes((FIXTURES / "stations.csv").read_bytes().replace(b"\n", newline))
+        out = tmp_path / "out"
+        assert run_cli("--config", str(demo_config), "--output-dir", str(out), "derive",
+                       "--stations", str(stations)) == 0
+        for name in ("profiles.csv", "transitions.csv", "analysis_table.csv"):
+            assert (out / name).read_bytes() == (FIXTURES / "expected" / name).read_bytes()
+
+
 class TestColdStart:
     @pytest.mark.parametrize("module, absent", [
         ("bikepls.cli", "numpy"),
@@ -348,6 +386,32 @@ class TestFetch:
                        "--cache-dir", str(tmp_path / "cache"),
                        "--start", "2021-01-01", "--end", "2021-12-31")
         assert code == 1
+
+    def test_warm_cache_and_corrupt_entry(self, demo_config, tmp_path):
+        responses = tmp_path / "responses"
+        shutil.copytree(FIXTURES / "responses", responses)
+        manifest = (responses / "manifest.json").read_text()
+        cache = tmp_path / "cache"
+
+        def fetch(name):
+            out = tmp_path / name
+            assert run_cli("--config", str(demo_config), "--output-dir", str(out), "fetch",
+                           "--cache-dir", str(cache), "--fixtures", str(responses)) == 0
+            return (out / "counts.csv").read_bytes()
+
+        cold = fetch("cold")
+        bodies = sorted(p for p in cache.iterdir() if not p.name.endswith(".meta.json"))
+        stored = {p: p.read_bytes() for p in bodies}
+        # with no recorded response, any transport call fails
+        (responses / "manifest.json").write_text("{}")
+        assert fetch("warm") == cold
+        # a damaged body fails its checksum, is evicted and fetched again
+        damaged = bytearray(stored[bodies[0]])
+        damaged[30] ^= 1
+        bodies[0].write_bytes(bytes(damaged))
+        (responses / "manifest.json").write_text(manifest)
+        assert fetch("refetched") == cold
+        assert {p: p.read_bytes() for p in bodies} == stored
 
 
 class TestAnalyze:

@@ -1,9 +1,11 @@
+import calendar
 import csv
 import datetime as dt
 import io
 import json
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -275,8 +277,85 @@ class TestAgainstRowByRowOracle:
         assert outcome(parse_counts_csv, data) == outcome(parse_counts_oracle, data)
 
 
+# Cells around the plain forms that the byte pass decodes (``YYYY-MM-DD``
+# naming a real day, 1 to 18 ASCII digits) and odd ones that the per-cell
+# conversions decide, accepted or not. Equal days in both forms make
+# duplicates across the two paths.
+BYTE_PATH_IDS = ["A", "B", "", "zbcdefg", "abcdefg", "xabcdefg", "abcdefgh", "1-station-0001",
+                 "2-station-0001", "xy0123456789", "0123456789", "Zürich", "東京", "a b"]
+PLAIN_DATES = st.sampled_from(["2020-01-01", "2020-02-29", "2020-12-31", "0001-01-01",
+                               "9999-12-31"]) \
+    | st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31)).map(dt.date.isoformat)
+ODD_DATES = st.sampled_from([
+    "20200101", "2020-W01-3", "20200229", "2019-02-29", "2100-02-29", "2020-04-31",
+    "2020-13-01", "2020-00-10", "2020-19-01", "2020-10-00", "2020-10-32", "0000-01-01",
+    "2020-1-5", " 2020-01-01", "2020-01-01 ", "2020/01/01", "２０２０-01-01", "2020-01-0١",
+    "2020-01-01x", "x2020-01-01", "12020-01-01", "", "x"])
+PLAIN_COUNTS = st.integers(0, 10**18 - 1).map(str) | st.integers(0, 999).map("{:05d}".format)
+ODD_COUNTS = st.sampled_from(["+5", " 5", "5 ", "5_000", "-0", "-3", "", "x", "1.5", "٣",
+                              "0" * 19, "1" * 19, "9" * 20, "1e3"])
+
+
+class TestBytePath:
+    """Plain lines decoded from bytes and odd lines decoded per cell give
+    the row-by-row parser's columns, first faulty line and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(BYTE_PATH_IDS), PLAIN_DATES | ODD_DATES,
+                                   PLAIN_COUNTS | ODD_COUNTS), max_size=40),
+           grouped=st.booleans(), final_newline=st.booleans(),
+           chunk=st.sampled_from([48, 1 << 20]))
+    def test_mixed_plain_and_odd_cells(self, rows, grouped, final_newline, chunk):
+        if grouped:
+            rows = sorted(rows, key=lambda row: row[0])
+        text = HEADER + "\n".join(map(",".join, rows)) + ("\n" if final_newline else "")
+        data = text.encode()
+        with mock.patch.object(ingest, "_COUNTS_CHUNK", chunk):
+            assert outcome(parse_counts_csv, data) == outcome(parse_counts_oracle, data)
+
+    @pytest.mark.parametrize("chunk", [64, 1 << 20])
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_grouped_and_interleaved_stations(self, monkeypatch, chunk, grouped):
+        monkeypatch.setattr(ingest, "_COUNTS_CHUNK", chunk)
+        days = [dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(40)]
+        cells = [(s, d) for s in BYTE_PATH_IDS for d in days] if grouped \
+            else [(s, d) for d in days for s in BYTE_PATH_IDS]
+        data = (HEADER + "".join(f"{s},{d},{k}\n" for k, (s, d) in enumerate(cells))).encode()
+        counts = parse_counts_csv(data)
+        assert counts.station_ids == tuple(BYTE_PATH_IDS)
+        assert as_series(counts) == parse_counts_oracle(data)
+
+    @pytest.mark.parametrize("year", [1, 4, 100, 1600, 1900, 2000, 2019, 2020, 9999])
+    def test_every_month_and_day_text(self, year):
+        # every month and day text up to 21 and 32, and some past them: the
+        # real days parse to their ordinals, every other text is a bad date
+        texts = [f"{year:04d}-{m:02d}-{d:02d}" for m in [*range(22), 29, 31, 99]
+                 for d in [*range(33), 39, 99]]
+        real = []
+        for text in texts:
+            try:
+                real.append(dt.date.fromisoformat(text))
+            except ValueError:
+                data = f"{HEADER}A,{text},1\n".encode()
+                assert outcome(parse_counts_csv, data) == \
+                    ("ParseError", f"line 2: bad date {text!r}")
+        data = (HEADER + "".join(f"A,{d},1\n" for d in real)).encode()
+        assert parse_counts_csv(data).day.tolist() == [d.toordinal() for d in real]
+
+    def test_month_table(self):
+        # every month of the years 1 to 9999 against the calendar module
+        for year in range(10000):
+            for month in range(20):
+                index = 20 * year + month
+                if year and 1 <= month <= 12:
+                    assert ingest._DAYS_BEFORE[index] + 1 == dt.date(year, month, 1).toordinal()
+                    assert ingest._MONTH_DAYS[index] == calendar.monthrange(year, month)[1]
+                else:
+                    assert ingest._MONTH_DAYS[index] == 0
+
+
 class TestCountsWriter:
-    """``frames.counts_to_csv_text`` writes what ``parse_counts_csv`` reads
+    """``counts_to_csv_text`` writes what ``parse_counts_csv`` reads
     back, quoting as ``csv.writer`` does."""
 
     @settings(max_examples=200, deadline=None)
@@ -293,7 +372,7 @@ class TestCountsWriter:
         station, day, count = (np.array(column, dtype=np.int64) for column in
                                zip(*((k, d, c) for (k, d), c in cells.items())))
         counts, _ = frames.sorted_counts(ids, station, day, count)
-        text = frames.counts_to_csv_text([counts])
+        text = ingest.counts_to_csv_text([counts])
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [frames.COUNTS_CSV_HEADER] + [
@@ -354,6 +433,17 @@ class TestFetchCounts:
         series = fetch_counts(config, "A", *RANGE, transport, cache)
         assert transport.call_count == 2
         assert len(series) == 2
+
+    def test_cache_key_is_the_request_url(self, tmp_path):
+        # a new URL template is a new source: its rows, not the old ones
+        config = _config(tmp_path)
+        other = SourceConfig(counts_url_template=URL_TEMPLATE.replace("example", "other"),
+                             cache_dir=config.cache_dir)
+        url = other.counts_url_template.format(station="A", start=RANGE[0], end=RANGE[1])
+        body = b"station_id,date,count\nA,2020-01-09,11\n"
+        fetch_counts(config, "A", *RANGE, _fixture_transport())
+        series = fetch_counts(other, "A", *RANGE, FixtureTransport({url: body}))
+        assert as_series(series) == {"A": ((dt.date(2020, 1, 9), 11),)}
 
     def test_warm_cache_equals_cold_plus_live(self, tmp_path):
         config = _config(tmp_path)
