@@ -14,6 +14,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,67 +79,56 @@ class LiveTransport:
 
 
 class FixtureTransport:
-    """Serves recorded responses from an in-memory mapping of url -> bytes."""
+    """Serves recorded responses from a mapping of url -> bytes, or url ->
+    the path of a file that holds them, read when its URL is requested."""
 
-    def __init__(self, responses: Mapping[str, bytes]):
-        self.responses = dict(responses)
+    def __init__(self, responses: Mapping[str, bytes | Path]):
+        self.responses = responses
 
     def get(self, url: str) -> bytes:
         if url not in self.responses:
             raise NetworkError(f"no fixture recorded for {url}")
-        return self.responses[url]
+        body = self.responses[url]
+        return body.read_bytes() if isinstance(body, Path) else body
 
 
 class ResponseCache:
-    """Verbatim response store: one file per key plus a checksum sidecar.
+    """Verbatim response store: one file per key, named by the key's
+    sha256. Its first line is the body's sha256 in hex; the body follows.
 
-    Staleness is the caller's policy; the cache only guarantees integrity
-    (a failed checksum surfaces as ``CacheCorrupt``).
+    An entry is written to a temp file and renamed into place, so a reader
+    sees a whole entry or none. Staleness is the caller's policy; the cache
+    only guarantees integrity (a failed checksum surfaces as ``CacheCorrupt``).
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
 
-    def _lock_for(self, digest: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks.setdefault(digest, threading.Lock())
-
-    @staticmethod
-    def _digest(key: str) -> str:
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()
-
-    def _paths(self, key: str) -> tuple[Path, Path]:
-        digest = self._digest(key)
-        return self.directory / digest, self.directory / f"{digest}.meta.json"
+    def _path(self, key: str) -> Path:
+        return self.directory / hashlib.sha256(key.encode("utf-8")).hexdigest()
 
     def load(self, key: str) -> bytes | None:
         """Return cached bytes, None on miss, ``CacheCorrupt`` on damage."""
-        body_path, meta_path = self._paths(key)
-        if not body_path.exists() or not meta_path.exists():
+        try:
+            entry = self._path(key).read_bytes()
+        except FileNotFoundError:
             return None
-        body = body_path.read_bytes()
-        meta = json.loads(meta_path.read_text())
-        if hashlib.sha256(body).hexdigest() != meta.get("sha256"):
+        checksum, newline, body = entry.partition(b"\n")
+        if not newline or checksum != hashlib.sha256(body).hexdigest().encode():
             raise CacheCorrupt(f"checksum mismatch for cache key {key!r}")
         return body
 
     def store(self, key: str, body: bytes) -> None:
-        body_path, meta_path = self._paths(key)
-        with self._lock_for(self._digest(key)):
-            body_path.write_bytes(body)
-            meta = {
-                "key": key,
-                "sha256": hashlib.sha256(body).hexdigest(),
-                "fetched_at": dt.datetime.now(dt.timezone.utc).isoformat(),
-            }
-            meta_path.write_text(json.dumps(meta, indent=2))
+        path = self._path(key)
+        # A name no other thread or process writes to at the same time.
+        temp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        with open(temp, "wb") as f:
+            f.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+        os.replace(temp, path)
 
     def evict(self, key: str) -> None:
-        for path in self._paths(key):
-            path.unlink(missing_ok=True)
+        self._path(key).unlink(missing_ok=True)
 
 
 # Bytes (or records, where the text needs the csv module) of a counts file
@@ -147,11 +137,11 @@ _COUNTS_CHUNK = 1 << 20
 _COUNTS_BATCH = 1 << 15
 
 # One batch of counts rows: the line numbers, station codes, day ordinals
-# (0 for a bad date) and counts (-1 for a bad one), and the error of a
-# record that ends the records read, with its line (a row of another width
-# than 3, or text the csv module refuses), or None.
+# (0 for a bad date) and counts (-1 for a bad one), and the ``ParseError``
+# of a record that ends the records read, with its line (a row of another
+# width than 3, or text the csv module refuses), or None.
 _Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-               "tuple[int, Exception] | None"]
+               "tuple[int, ParseError] | None"]
 
 
 def _word_masks(template: bytes) -> np.ndarray:
@@ -249,7 +239,10 @@ def _counts_batches(data: bytes, text: str,
             if (ends[1:] - ends[:-1]).max(initial=ends[0] + 1) <= csv.field_size_limit():
                 return data[:ends[0]].decode().split(","), _byte_batches(data, seps, codes)
     records = csv.reader(io.StringIO(text))
-    return next(records, None), _record_batches(records, codes)
+    try:
+        return next(records, None), _record_batches(records, codes)
+    except csv.Error as exc:
+        raise ParseError(f"line 1: {exc}") from None
 
 
 def _byte_batches(data: bytes, seps: np.ndarray, codes: dict[str, int]) -> Iterator[_Batch]:
@@ -361,7 +354,8 @@ def _record_batches(records: Iterator[list[str]], codes: dict[str, int]) -> Iter
         try:
             batch.extend(itertools.islice(records, _COUNTS_BATCH))
         except csv.Error as exc:
-            stop = (lineno + len(batch) + 1, exc)
+            number = lineno + len(batch) + 1
+            stop = (number, ParseError(f"line {number}: {exc}"))
         if not batch and stop is None:
             return
         rows, numbers = [], []
@@ -423,9 +417,9 @@ def parse_counts_csv(data: bytes) -> Counts:
     """Parse counts CSV bytes into columns, rows sorted by (station, day).
 
     Raises ``ParseError`` naming the offending line for a bad header, a
-    malformed date, a negative or non-integer count, or a duplicate
-    (station, date) observation. Lines are records, blank ones included,
-    and the first line at fault is named.
+    malformed date, a negative or non-integer count, a duplicate
+    (station, date) observation, or text the csv module refuses. Lines
+    are records, blank ones included, and the first line at fault is named.
     """
     try:
         text = data.decode("utf-8")
@@ -563,13 +557,11 @@ def fetch_many(
 
 def fixture_transport_from_dir(directory: str | Path) -> FixtureTransport:
     """Build a fixture transport from a directory with a ``manifest.json``
-    mapping each URL to a relative response file."""
+    mapping each URL to a relative response file, which is read only when
+    its URL is requested."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    responses = {
-        url: (directory / relpath).read_bytes() for url, relpath in manifest.items()
-    }
-    return FixtureTransport(responses)
+    return FixtureTransport({url: directory / relpath for url, relpath in manifest.items()})
 
 
 # --- census tables -----------------------------------------------------------

@@ -118,6 +118,22 @@ class TestDerive:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("station_id,date,count\rst_cherry,2018-01-10,100\r",
+         "line 1: new-line character seen in unquoted field"),
+        ("station_id,date,count\nst_cherry,2018-01-10,100\n{long},2018-01-10,1\n",
+         "line 3: field larger than field limit"),
+    ], ids=["bare-cr", "long-field"])
+    def test_counts_the_csv_module_refuses_exit_2(self, demo_config, tmp_path, capsys,
+                                                  text, message):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(text.replace("{long}", "x" * (csv.field_size_limit() + 1)),
+                          newline="")
+        code = run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "out"),
+                       "derive", "--counts-csv", str(counts))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_non_finite_census_cell_exits_2_with_line(self, demo_config, tmp_path, capsys):
         income = tmp_path / "acs_income.csv"
         income.write_text((FIXTURES / "acs_income.csv").read_text().replace(
@@ -400,7 +416,7 @@ class TestFetch:
             return (out / "counts.csv").read_bytes()
 
         cold = fetch("cold")
-        bodies = sorted(p for p in cache.iterdir() if not p.name.endswith(".meta.json"))
+        bodies = sorted(cache.iterdir())
         stored = {p: p.read_bytes() for p in bodies}
         # with no recorded response, any transport call fails
         (responses / "manifest.json").write_text("{}")
@@ -412,6 +428,45 @@ class TestFetch:
         (responses / "manifest.json").write_text(manifest)
         assert fetch("refetched") == cold
         assert {p: p.read_bytes() for p in bodies} == stored
+
+    def test_warm_pass_opens_no_response_file(self, demo_config, tmp_path, capsys):
+        responses = tmp_path / "responses"
+        shutil.copytree(FIXTURES / "responses", responses)
+        manifest = json.loads((responses / "manifest.json").read_text())
+
+        def fetch(name):
+            out = tmp_path / name
+            code = run_cli("--config", str(demo_config), "--output-dir", str(out), "fetch",
+                           "--cache-dir", str(tmp_path / "cache"), "--fixtures", str(responses))
+            return code, out / "counts.csv"
+
+        # a manifest entry whose file is missing fails only when it is requested
+        manifest["https://counts.example/api?station=st_elm"] = "st_elm.csv"
+        (responses / "manifest.json").write_text(json.dumps(manifest))
+        code, cold = fetch("cold")
+        assert code == 0
+        for name in manifest.values():
+            (responses / name).unlink(missing_ok=True)
+        code, warm = fetch("warm")
+        assert code == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        shutil.rmtree(tmp_path / "cache")
+        capsys.readouterr()
+        assert fetch("refetched")[0] == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and str(responses) in err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--parallelism", "0", "parallelism"),
+        ("--retries", "-1", "retries"),
+    ])
+    def test_source_config_checks_exit_2(self, demo_config, tmp_path, capsys, flag, value,
+                                         field):
+        code = run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "out"),
+                       "fetch", "--cache-dir", str(tmp_path / "cache"), flag, value)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyze:

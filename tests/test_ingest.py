@@ -1,10 +1,15 @@
 import calendar
 import csv
 import datetime as dt
+import hashlib
 import io
+import itertools
 import json
 import random
 import re
+import sys
+import threading
+from typing import Iterator
 from unittest import mock
 
 import numpy as np
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 
 from bikepls import frames, ingest
 from bikepls.errors import (
+    CacheCorrupt,
     CategoryCountMismatch,
     EmptyHouseholds,
     InvalidProfile,
@@ -53,6 +59,19 @@ class RecordingTransport:
         return len(self.requests)
 
 
+def oracle_records(text: str) -> Iterator[list[str]]:
+    """``csv.reader``'s records of ``text``; text it refuses is a
+    ``ParseError`` naming its record."""
+    reader = csv.reader(io.StringIO(text))
+    for number in itertools.count(1):
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"line {number}: {exc}") from None
+
+
 def parse_counts_oracle(data: bytes) -> dict[str, tuple[tuple[dt.date, int], ...]]:
     """The row-by-row parser the columnar one replaced: one date-sorted
     series per station, stations in order of first appearance."""
@@ -60,7 +79,7 @@ def parse_counts_oracle(data: bytes) -> dict[str, tuple[tuple[dt.date, int], ...
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"counts payload is not UTF-8: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = oracle_records(text)
     try:
         header = tuple(next(reader))
     except StopIteration:
@@ -107,7 +126,7 @@ def outcome(parse, data: bytes):
     """What a parser makes of ``data``: its series, or its error."""
     try:
         result = parse(data)
-    except (ParseError, csv.Error) as exc:
+    except ParseError as exc:
         return type(exc).__name__, str(exc)
     return "ok", as_series(result) if isinstance(result, frames.Counts) else result
 
@@ -250,7 +269,8 @@ class TestAgainstRowByRowOracle:
         data = (HEADER + "A,2020-01-01,1\n" + "B" * (csv.field_size_limit() + 1)
                 + ",2020-01-01,1\n").encode()
         assert outcome(parse_counts_csv, data) == outcome(parse_counts_oracle, data)
-        assert outcome(parse_counts_csv, data)[0] == "Error"
+        assert outcome(parse_counts_csv, data) == \
+            ("ParseError", f"line 3: field larger than field limit ({csv.field_size_limit()})")
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
@@ -424,12 +444,10 @@ class TestFetchCounts:
         config = _config(tmp_path)
         cache = ResponseCache(config.cache_dir)
         fetch_counts(config, "A", *RANGE, transport, cache)
-        # damage the stored body without touching the checksum sidecar
-        body_files = [
-            p for p in cache.directory.iterdir() if not p.name.endswith(".meta.json")
-        ]
-        assert len(body_files) == 1
-        body_files[0].write_bytes(b"garbage")
+        # damage the stored body, keeping its checksum line
+        entries = list(cache.directory.iterdir())
+        assert len(entries) == 1
+        entries[0].write_bytes(entries[0].read_bytes()[:65] + b"garbage")
         series = fetch_counts(config, "A", *RANGE, transport, cache)
         assert transport.call_count == 2
         assert len(series) == 2
@@ -493,12 +511,136 @@ class TestFetchCounts:
     def test_fixture_transport_from_dir(self, tmp_path):
         (tmp_path / "resp.csv").write_bytes(COUNTS)
         (tmp_path / "manifest.json").write_text(
-            json.dumps({"https://example.test/x": "resp.csv"})
+            json.dumps({"https://example.test/x": "resp.csv",
+                        "https://example.test/gone": "gone.csv"})
         )
+        # a response file is read when its URL is requested, not before
         transport = fixture_transport_from_dir(tmp_path)
         assert transport.get("https://example.test/x") == COUNTS
         with pytest.raises(NetworkError):
             transport.get("https://example.test/other")
+        with pytest.raises(FileNotFoundError, match="gone.csv"):
+            transport.get("https://example.test/gone")
+
+
+URL = URL_TEMPLATE.format(station="A", start=RANGE[0], end=RANGE[1])
+
+
+def entry_path(cache: ResponseCache, key: str):
+    return cache.directory / hashlib.sha256(key.encode()).hexdigest()
+
+
+class TestResponseCache:
+    def test_entry_is_checksum_line_then_body(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.store(URL, COUNTS)
+        assert [p.name for p in tmp_path.iterdir()] == [entry_path(cache, URL).name]
+        assert entry_path(cache, URL).read_bytes() == \
+            hashlib.sha256(COUNTS).hexdigest().encode() + b"\n" + COUNTS
+        assert cache.load(URL) == COUNTS
+        assert cache.load(URL + "&other") is None
+
+    def test_old_layout_entry_refetched(self, tmp_path):
+        # a body file plus a checksum sidecar, as the cache once stored them
+        config = _config(tmp_path)
+        cache = ResponseCache(config.cache_dir)
+        old_body = COUNTS.replace(b"5", b"6")
+        entry_path(cache, URL).write_bytes(old_body)
+        entry_path(cache, URL).with_suffix(".meta.json").write_text(json.dumps(
+            {"key": URL, "sha256": hashlib.sha256(old_body).hexdigest(),
+             "fetched_at": "2021-01-01T00:00:00+00:00"}))
+        with pytest.raises(CacheCorrupt):
+            cache.load(URL)
+        transport = _fixture_transport()
+        series = fetch_counts(config, "A", *RANGE, transport, cache)
+        assert transport.call_count == 1
+        assert as_series(series) == {"A": parse_counts_oracle(COUNTS)["A"]}
+        assert cache.load(URL) == COUNTS
+
+    @pytest.mark.parametrize("damage", [
+        lambda entry: entry.replace(b"\n", b""),  # no newline
+        lambda entry: entry[:64],  # the checksum alone
+        lambda entry: entry[:65],  # the checksum line alone
+        lambda entry: entry[:-1],  # cut short by one byte
+        lambda entry: entry + b"A,2020-01-03,1\n",  # longer than its checksum
+    ])
+    def test_damaged_entry_is_corrupt_and_refetched(self, tmp_path, damage):
+        config = _config(tmp_path)
+        cache = ResponseCache(config.cache_dir)
+        transport = _fixture_transport()
+        fetch_counts(config, "A", *RANGE, transport, cache)
+        path = entry_path(cache, URL)
+        entry = path.read_bytes()
+        path.write_bytes(damage(entry))
+        with pytest.raises(CacheCorrupt):
+            cache.load(URL)
+        series = fetch_counts(config, "A", *RANGE, transport, cache)
+        assert transport.call_count == 2
+        assert as_series(series) == {"A": parse_counts_oracle(COUNTS)["A"]}
+        assert path.read_bytes() == entry
+
+    def test_concurrent_stores_leave_a_whole_entry(self, tmp_path):
+        # eight writers of different bodies under one key, and one reader
+        cache = ResponseCache(tmp_path)
+        bodies = [bytes([65 + k]) * (1 << 16) + b"\n" for k in range(8)]
+        start = threading.Barrier(9, timeout=30)
+        stop = threading.Event()
+        seen: list = []
+
+        def write(body):
+            start.wait()
+            for _ in range(40):
+                cache.store(URL, body)
+
+        def read():
+            start.wait()
+            while not stop.is_set():
+                try:
+                    seen.append(cache.load(URL))
+                except CacheCorrupt as exc:
+                    seen.append(exc)
+
+        writers = [threading.Thread(target=write, args=(body,)) for body in bodies]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in writers + [reader]:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            stop.set()
+            reader.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers + [reader])
+        assert seen and all(body is None or body in bodies for body in seen)
+        assert cache.load(URL) in bodies
+        assert [p.name for p in tmp_path.iterdir()] == [entry_path(cache, URL).name]
+
+    def test_leftover_temp_file_never_served(self, tmp_path):
+        # a writer that stopped before its rename leaves a temp file behind
+        cache = ResponseCache(tmp_path)
+        other = b"station_id,date,count\nA,2020-01-09,11\n"
+        temp = entry_path(cache, URL).with_name(entry_path(cache, URL).name + ".1-2.tmp")
+        temp.write_bytes(hashlib.sha256(other).hexdigest().encode() + b"\n" + other)
+        assert cache.load(URL) is None
+        cache.store(URL, COUNTS)
+        assert cache.load(URL) == COUNTS
+
+    def test_cold_fetch_leaves_one_file_per_station(self, tmp_path):
+        stations = [f"S{k}" for k in range(7)]
+        urls = {station: URL_TEMPLATE.format(station=station, start=RANGE[0], end=RANGE[1])
+                for station in stations}
+        transport = FixtureTransport({
+            url: f"station_id,date,count\n{station},2020-01-05,4\n".encode()
+            for station, url in urls.items()})
+        config = _config(tmp_path, parallelism=3)
+        fetch_many(config, stations, *RANGE, transport)
+        cache = ResponseCache(config.cache_dir)
+        assert sorted(p.name for p in cache.directory.iterdir()) == \
+            sorted(entry_path(cache, url).name for url in urls.values())
 
 
 class TestSourceConfig:
