@@ -19,6 +19,7 @@ from .errors import (
     BikeplsError,
     CacheCorrupt,
     NetworkError,
+    ParseError,
     SingularProjection,
     TooFewStations,
     ZeroVariance,
@@ -141,7 +142,10 @@ def _read_counts(paths: tuple[str, ...]):
         data = Path(path)
         if not data.exists():
             raise FileNotFoundError(f"counts file not found: {data}")
-        counts = ingest.parse_counts_csv(data.read_bytes())
+        try:
+            counts = ingest.parse_counts_csv(data.read_bytes())
+        except ParseError as exc:
+            raise ParseError(f"{data}: {exc}") from None
         merged = counts if merged is None else frames.merge_counts(merged, counts)
     return merged
 
@@ -247,14 +251,15 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
     import json
 
     from . import frames, plsr
-    from .report import ReportBundle, bundle_to_json, render_all, write_documents
+    from .report import BUNDLED_TABLE, ReportBundle, bundle_to_json, render_all, write_documents
 
     if cfg.input:
+        table = str(Path(cfg.input).resolve())
         text = _read(cfg.input, "input table")
     else:
         from .reproduce import load_bundled_table
 
-        text = load_bundled_table()
+        table, text = BUNDLED_TABLE, load_bundled_table()
     try:
         frame_map = frames.frames_from_analysis_table(text, cfg.standardize_y)
     except (TooFewStations, ZeroVariance) as exc:
@@ -265,7 +270,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
     }
     bundle = ReportBundle(fitted)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "analysis.json").write_text(bundle_to_json(bundle))
+    (out_dir / "analysis.json").write_text(bundle_to_json(bundle, table, text, cfg.standardize_y))
     models_dir = out_dir / "models"
     models_dir.mkdir(exist_ok=True)
     for label, (_, model) in fitted.items():

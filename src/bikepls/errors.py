@@ -89,3 +89,7 @@ class CategoryCountMismatch(BikeplsError):
 
 class IncompleteBundle(BikeplsError):
     """A report bundle is missing one or more periods."""
+
+
+class StaleTable(BikeplsError):
+    """The analysis table an analysis document names is gone or has changed."""

@@ -529,8 +529,6 @@ def avg_education(level_counts: Sequence[float]) -> float:
 def _weighted_level(counts: Sequence[float], expected: int, what: str) -> float:
     if len(counts) != expected:
         raise ValueError(f"expected {expected} {what}, got {len(counts)}")
-    if any(c < 0 for c in counts):
-        raise ValueError("category counts must be non-negative")
     total = sum(counts)
     if total == 0:
         raise EmptyHouseholds(f"no households across {what}")
@@ -545,8 +543,6 @@ def avg_age(
         raise LengthMismatch(
             f"{len(bracket_counts)} counts vs {len(bracket_levels)} levels"
         )
-    if any(c < 0 for c in bracket_counts):
-        raise ValueError("bracket counts must be non-negative")
     total = sum(bracket_counts)
     if total == 0:
         raise EmptyHouseholds("no population across age brackets")
@@ -555,8 +551,6 @@ def avg_age(
 
 def population_and_gender(male: float, female: float) -> tuple[float, float]:
     """Total population and male-to-female ratio from raw head counts."""
-    if male < 0 or female < 0:
-        raise ValueError("head counts must be non-negative")
     if female == 0:
         raise ZeroFemale("male/female ratio undefined: zero female count")
     return male + female, male / female
@@ -608,6 +602,11 @@ def load_analysis_table(
     (the table may already be on an arbitrary scale, so no profile-level
     range validation applies).
 
+    A plain table (no quote, carriage return or NUL, the header first, no
+    line over the csv field size limit, 9 fields on each non-blank line,
+    finite values, distinct ids) is read in one pass, splitting lines at
+    commas as ``csv.reader`` would; any other text row by row by ``_csv_rows``.
+
     Raises
     ------
     ParseError
@@ -615,13 +614,31 @@ def load_analysis_table(
         of fields, a cell that is not a finite number, or a station seen on
         an earlier line.
     """
-    rows = {cells[0]: values
-            for _, cells, values in _csv_rows(text, "analysis table", ANALYSIS_TABLE_HEADER)}
-    station_ids = tuple(sorted(rows))
-    values = np.array([rows[s] for s in station_ids], dtype=float)
-    values = values.reshape(-1, len(ANALYSIS_TABLE_HEADER) - 1)
+    head = ",".join(ANALYSIS_TABLE_HEADER) + "\n"
+    ids: list[str] = []
+
+    def plain_cells() -> Iterator[str]:
+        if not text.startswith(head) or any(c in text for c in '"\r\x00'):
+            raise ValueError("not a plain table")
+        for line in filter(None, text[len(head):].split("\n")):
+            row = line.split(",")
+            if len(row) != len(ANALYSIS_TABLE_HEADER) or len(line) > csv.field_size_limit():
+                raise ValueError("not a plain table")
+            ids.append(row[0])
+            yield from row[1:]
+
+    try:
+        values = np.fromiter(map(float, plain_cells()), float)
+        if not np.isfinite(values).all() or len(set(ids)) < len(ids):
+            raise ValueError("not a plain table")
+    except ValueError:
+        rows = {cells[0]: numbers
+                for _, cells, numbers in _csv_rows(text, "analysis table", ANALYSIS_TABLE_HEADER)}
+        ids, values = list(rows), np.array(list(rows.values()), dtype=float)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    values = values.reshape(len(ids), len(ANALYSIS_TABLE_HEADER) - 1)[order]
     n_rates = len(TRANSITION_LABELS)
-    return station_ids, values[:, :n_rates].copy(), values[:, n_rates:].copy()
+    return tuple(ids[k] for k in order), values[:, :n_rates].copy(), values[:, n_rates:].copy()
 
 
 def analysis_table_to_csv_text(

@@ -129,6 +129,7 @@ class ResponseCache:
 
     def evict(self, key: str) -> None:
         self._path(key).unlink(missing_ok=True)
+        Path(f"{self._path(key)}.meta.json").unlink(missing_ok=True)  # the old layout's sidecar
 
 
 # Bytes (or records, where the text needs the csv module) of a counts file

@@ -9,6 +9,7 @@ documents.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from dataclasses import dataclass
@@ -17,21 +18,21 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IncompleteBundle
-from .frames import TRANSITION_LABELS, AnalysisFrame
+from .errors import IncompleteBundle, ShapeMismatch, StaleTable
+from .frames import TRANSITION_LABELS, AnalysisFrame, frames_from_analysis_table
 from .plsr import (
     PlsModel,
     check_document,
     coefficients,
-    matrix_from_doc,
-    matrix_to_doc,
     model_from_json,
     model_to_json,
     variance_explained,
     vip_table,
 )
 
-BUNDLE_VERSION = 3
+BUNDLE_VERSION = 4
+
+BUNDLED_TABLE = "bundled"  # the table shipped with the package, as a document names it
 
 TABLE_NAMES = ("variance_explained", "weights", "loadings", "vip", "coefficients")
 
@@ -47,34 +48,10 @@ def format_cell(value: float) -> str:
     return f"{value:.3f}"
 
 
-# Frame fields that every period of a bundle shares: only y differs.
-_SHARED_FRAME_FIELDS = (
-    "station_ids", "predictor_names", "x", "x_source_means", "x_source_stds",
-)
-
-
-def _same_values(a, b) -> bool:
-    """Equal labels, or arrays with the same shape and the same float bits.
-
-    Bits rather than ``==`` so that -0.0 and 0.0, which print differently,
-    never count as the same value.
-    """
-    if a is b:
-        return True
-    if isinstance(a, tuple):
-        return a == b
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @dataclass(frozen=True)
 class ReportBundle:
-    """Frames and fitted models for all three period transitions.
-
-    The frames share one station list, one predictor list and one
-    standardized predictor matrix with its source statistics; only the
-    response column differs by period.
-    """
+    """Frames and fitted models for all three period transitions, each
+    model fit to its own frame's predictors and samples."""
 
     periods: Mapping[str, tuple[AnalysisFrame, PlsModel]]
 
@@ -82,15 +59,11 @@ class ReportBundle:
         missing = [t for t in TRANSITION_LABELS if t not in self.periods]
         if missing:
             raise IncompleteBundle(f"bundle is missing transitions: {missing}")
-        first = TRANSITION_LABELS[0]
-        frame0 = self.periods[first][0]
-        for period in TRANSITION_LABELS[1:]:
-            frame = self.periods[period][0]
-            for name in _SHARED_FRAME_FIELDS:
-                if not _same_values(getattr(frame0, name), getattr(frame, name)):
-                    raise ValueError(
-                        f"bundle periods {first!r} and {period!r} differ in {name}"
-                    )
+        for period, (frame, model) in self.periods.items():
+            if (model.predictor_names, model.n_samples) != (frame.predictor_names, frame.n_samples):
+                raise ShapeMismatch(f"the {period} model was fit to {model.n_samples} samples of "
+                                    f"{list(model.predictor_names)}, but its frame holds "
+                                    f"{frame.n_samples} samples of {list(frame.predictor_names)}")
 
 
 def _table_rows(frame: AnalysisFrame, model: PlsModel, name: str) -> tuple[list[str], list[list[str]]]:
@@ -191,7 +164,8 @@ def export_figure_data(frames: Mapping[str, AnalysisFrame]) -> dict[str, str]:
     """One scatter CSV per (predictor, period): value vs change rate.
 
     Each column is formatted once: the station ids once per distinct id
-    list, each predictor column once per distinct matrix, and each
+    list, each predictor column once per matrix object (frames built by
+    one ``frames_from_analysis_table`` call share theirs), and each
     period's change rates once.
     """
     missing = [t for t in TRANSITION_LABELS if t not in frames]
@@ -205,7 +179,7 @@ def export_figure_data(frames: Mapping[str, AnalysisFrame]) -> dict[str, str]:
         if frame.station_ids not in stations:
             stations[frame.station_ids] = _station_cells(frame.station_ids)
         cells = stations[frame.station_ids]
-        columns = next((cols for x, cols in formatted if _same_values(x, frame.x)), None)
+        columns = next((cols for x, cols in formatted if x is frame.x), None)
         if columns is None:
             x = np.asarray(frame.x, dtype=float)
             columns = [[f"{v!r}," for v in col] for col in x.T.tolist()]
@@ -238,41 +212,42 @@ def write_documents(docs: Mapping[str, str], out_dir: str | Path) -> list[Path]:
 
 # --- bundle persistence ------------------------------------------------------
 
-def bundle_to_json(bundle: ReportBundle) -> str:
-    """Serialize the shared frame fields once, then each period's y and model."""
-    frame = bundle.periods[TRANSITION_LABELS[0]][0]
+def bundle_to_json(bundle: ReportBundle, table: str, table_text: str,
+                   standardize_y: bool) -> str:
+    """The analysis document: the table the frames were built from (its
+    absolute path or ``BUNDLED_TABLE``), the sha256 of ``table_text``,
+    ``standardize_y``, then each period's model."""
     doc = {
         "format": "bikepls-analysis",
         "version": BUNDLE_VERSION,
-        "station_ids": list(frame.station_ids),
-        "predictor_names": list(frame.predictor_names),
-        "x": matrix_to_doc(frame.x),
-        "x_source_means": matrix_to_doc(frame.x_source_means),
-        "x_source_stds": matrix_to_doc(frame.x_source_stds),
-        "periods": {},
+        "table": table,
+        "table_sha256": hashlib.sha256(table_text.encode()).hexdigest(),
+        "standardize_y": standardize_y,
+        "periods": {period: {"model": json.loads(model_to_json(bundle.periods[period][1]))}
+                    for period in TRANSITION_LABELS},
     }
-    for period in TRANSITION_LABELS:
-        frame, model = bundle.periods[period]
-        doc["periods"][period] = {
-            "y": matrix_to_doc(frame.y),
-            "model": json.loads(model_to_json(model)),
-        }
     return json.dumps(doc, indent=2)
 
 
 def bundle_from_json(text: str) -> ReportBundle:
+    """Build the frames again from the table an analysis document names and
+    pair them with its models; ``StaleTable`` if the table is gone or its
+    text is not the text `analyze` read."""
     doc = json.loads(text)
     check_document(doc, "bikepls-analysis", BUNDLE_VERSION)
-    shared = {
-        "x": matrix_from_doc(doc["x"]),
-        "station_ids": tuple(doc["station_ids"]),
-        "predictor_names": tuple(doc["predictor_names"]),
-        "x_source_means": matrix_from_doc(doc["x_source_means"]),
-        "x_source_stds": matrix_from_doc(doc["x_source_stds"]),
-    }
-    periods = {}
-    for period, entry in doc["periods"].items():
-        frame = AnalysisFrame(y=matrix_from_doc(entry["y"]), transition=period, **shared)
-        model = model_from_json(json.dumps(entry["model"]))
-        periods[period] = (frame, model)
-    return ReportBundle(periods)
+    table = doc["table"]
+    if table == BUNDLED_TABLE:
+        from .reproduce import load_bundled_table
+
+        table_text = load_bundled_table()
+    elif not Path(table).is_file():
+        raise StaleTable(f"analysis table {table} not found; re-run `analyze`")
+    else:
+        with open(table, newline="") as f:  # line ends untranslated, as `analyze` reads
+            table_text = f.read()
+    if hashlib.sha256(table_text.encode()).hexdigest() != doc["table_sha256"]:
+        raise StaleTable(f"analysis table {table} has changed since `analyze` read it; "
+                         "re-run `analyze`")
+    frame_map = frames_from_analysis_table(table_text, doc["standardize_y"])
+    return ReportBundle({period: (frame_map[period], model_from_json(json.dumps(entry["model"])))
+                         for period, entry in doc["periods"].items()})

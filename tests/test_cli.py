@@ -26,6 +26,13 @@ def run_cli(*args):
     return main(list(args))
 
 
+def document_tree(out: Path) -> dict[str, bytes]:
+    """The bytes of every document under ``out``'s reports/ and figures/."""
+    return {str(p.relative_to(out)): p.read_bytes()
+            for sub in ("reports", "figures") for p in sorted((out / sub).rglob("*"))
+            if p.is_file()}
+
+
 class TestDerive:
     def test_matches_committed_outputs(self, demo_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -132,7 +139,17 @@ class TestDerive:
         code = run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "out"),
                        "derive", "--counts-csv", str(counts))
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: {counts}: {message}")
+
+    def test_counts_error_names_the_faulty_file(self, demo_config, tmp_path, capsys):
+        good = REPO_ROOT / "fixtures/counts_2018.csv"
+        bad = tmp_path / "counts_2020.csv"
+        bad.write_text((REPO_ROOT / "fixtures/counts_2020.csv").read_text()
+                       .replace("2020-", "2020/", 1))
+        code = run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "out"),
+                       "derive", "--counts-csv", str(good), str(bad))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 2: bad date '2020/")
 
     def test_non_finite_census_cell_exits_2_with_line(self, demo_config, tmp_path, capsys):
         income = tmp_path / "acs_income.csv"
@@ -318,8 +335,13 @@ class TestCarriageReturnIds:
         table = out / "analysis_table.csv"
         assert run_cli("--output-dir", str(out), "analyze", "--components", "1",
                        "--input", str(table)) == 0
-        doc = json.loads((out / "analysis.json").read_text())
-        assert doc["station_ids"] == ["st\rcherry", "st_platte"]
+        figure = out / "figures/avg_income__pre_pandemic_to_pandemic.csv"
+        assert "st\rcherry" in figure.read_bytes().decode()
+        # `report` reads the table again, through the row reader
+        written = document_tree(out)
+        figure.unlink()
+        assert run_cli("--output-dir", str(out), "report") == 0
+        assert document_tree(out) == written
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_stations_line_ends(self, demo_config, tmp_path, newline):
@@ -555,15 +577,23 @@ class TestAnalyze:
         assert code == 2
 
 
+# Matrices of the older layouts, in their decimal-string encoding.
+X4 = {"shape": [4, 5], "data": ["0"] * 20}
+Y4 = {"shape": [4], "data": ["1"] * 4}
+
+
 class TestReport:
     def test_rerenders_from_saved_analysis(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("--output-dir", str(out), "analyze") == 0
+        assert json.loads((out / "analysis.json").read_text())["table"] == "bundled"
         vip_path = out / "reports/pre_pandemic_to_pandemic/vip.csv"
         original = vip_path.read_text()
+        written = document_tree(out)
         vip_path.unlink()
         assert run_cli("--output-dir", str(out), "report") == 0
         assert vip_path.read_text() == original
+        assert document_tree(out) == written
 
     def test_missing_analysis_exits_2(self, tmp_path):
         assert run_cli("--output-dir", str(tmp_path / "empty"), "report") == 2
@@ -586,35 +616,82 @@ class TestReport:
         err = capsys.readouterr().err
         assert "version 1" in err and "re-run `analyze`" in err
 
-
-    def test_version_2_analysis_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run_cli("--output-dir", str(out), "analyze") == 0
-        path = out / "analysis.json"
-        doc = json.loads(path.read_text())
-        # the version-2 layout: every period holds a whole frame
-        shared = {k: doc.pop(k) for k in ("station_ids", "predictor_names", "x",
-                                          "x_source_means", "x_source_stds")}
-        doc["version"] = 2
-        for period, entry in doc["periods"].items():
-            entry["frame"] = dict(shared, y=entry.pop("y"), transition=period)
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
+    @staticmethod
+    def older_analysis_exits_2(out, capsys, version, **fields):
+        out.mkdir()
+        (out / "analysis.json").write_text(json.dumps(
+            {"format": "bikepls-analysis", "version": version, **fields}))
         assert run_cli("--output-dir", str(out), "report") == 2
         err = capsys.readouterr().err
-        assert "version 2" in err and "re-run `analyze`" in err
+        assert f"version {version}" in err and "re-run `analyze`" in err
+
+    def test_version_2_analysis_exits_2(self, tmp_path, capsys):
+        # the version-2 layout: every period holds a whole frame
+        self.older_analysis_exits_2(tmp_path / "out", capsys, 2, periods={
+            t: {"frame": {"x": X4, "y": Y4, "transition": t}} for t in TRANSITION_LABELS})
+
+    def test_version_3_analysis_exits_2(self, tmp_path, capsys):
+        # the version-3 layout: the shared frame fields once, then y per period
+        self.older_analysis_exits_2(tmp_path / "out", capsys, 3, station_ids=["0", "1", "2", "3"],
+                                    x=X4, periods={t: {"y": Y4} for t in TRANSITION_LABELS})
 
     def test_inconsistent_period_exits_2(self, tmp_path, capsys):
+        # a model fit to another number of samples than the table holds
         out = tmp_path / "out"
         assert run_cli("--output-dir", str(out), "analyze") == 0
         path = out / "analysis.json"
         doc = json.loads(path.read_text())
-        doc["periods"]["pandemic_to_transition"]["y"]["data"].pop()
-        doc["periods"]["pandemic_to_transition"]["y"]["shape"] = [3]
+        doc["periods"]["pandemic_to_transition"]["model"]["n_samples"] = 3
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run_cli("--output-dir", str(out), "report") == 2
-        assert "y must have shape (4,)" in capsys.readouterr().err
+        names = "['avg_income', 'avg_education', 'avg_age', 'total_population', " \
+                "'male_female_ratio']"
+        assert capsys.readouterr().err == (
+            f"error: the pandemic_to_transition model was fit to 3 samples of {names}, "
+            f"but its frame holds 4 samples of {names}\n")
+
+    def test_edited_table_exits_2(self, table1_text, tmp_path, capsys):
+        table, out = tmp_path / "table.csv", tmp_path / "out"
+        table.write_text(table1_text)
+        assert run_cli("--output-dir", str(out), "analyze", "--input", str(table)) == 0
+        lines = table1_text.splitlines(keepends=True)
+        cells = lines[2].split(",")
+        cells[1] = repr(float(cells[1]) + 1.0)
+        lines[2] = ",".join(cells)
+        table.write_text("".join(lines))
+        capsys.readouterr()
+        assert run_cli("--output-dir", str(out), "report") == 2
+        assert capsys.readouterr().err == (
+            f"error: analysis table {table} has changed since `analyze` read it; "
+            "re-run `analyze`\n")
+
+    def test_deleted_table_exits_2(self, table1_text, tmp_path, capsys):
+        table, out = tmp_path / "table.csv", tmp_path / "out"
+        table.write_text(table1_text)
+        assert run_cli("--output-dir", str(out), "analyze", "--input", str(table)) == 0
+        table.unlink()
+        capsys.readouterr()
+        assert run_cli("--output-dir", str(out), "report") == 2
+        assert capsys.readouterr().err == (
+            f"error: analysis table {table} not found; re-run `analyze`\n")
+
+    def test_relative_input_reported_from_another_directory(self, table1_text, tmp_path,
+                                                            monkeypatch):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "data/table.csv").write_text(table1_text)
+        out = tmp_path / "out"
+        monkeypatch.chdir(tmp_path / "data")
+        assert run_cli("--output-dir", str(out), "analyze", "--input", "table.csv") == 0
+        doc = json.loads((out / "analysis.json").read_text())
+        assert doc["table"] == str((tmp_path / "data/table.csv").resolve())
+        written = document_tree(out)
+        shutil.rmtree(out / "reports")
+        shutil.rmtree(out / "figures")
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run_cli("--output-dir", str(out), "report") == 0
+        assert document_tree(out) == written
 
 
 class TestReproduce:

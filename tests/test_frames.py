@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bikepls import frames
 from bikepls.errors import (
     EmptyHouseholds,
     EmptyPeriod,
@@ -660,6 +663,114 @@ class TestAnalysisTableRows:
                 assert getattr(frame, name).tobytes() == getattr(want, name).tobytes()
             assert (frame.station_ids, frame.predictor_names, frame.transition) == \
                 (want.station_ids, want.predictor_names, want.transition)
+
+
+def load_analysis_table_oracle(text):
+    """The row-by-row reader that ``load_analysis_table`` was before its
+    one-pass read of plain tables."""
+    rows = {cells[0]: values for _, cells, values
+            in frames._csv_rows(text, "analysis table", ANALYSIS_TABLE_HEADER)}
+    station_ids = tuple(sorted(rows))
+    values = np.array([rows[s] for s in station_ids], dtype=float)
+    values = values.reshape(-1, len(ANALYSIS_TABLE_HEADER) - 1)
+    return station_ids, values[:, :3].copy(), values[:, 3:].copy()
+
+
+def table_outcome(load, text):
+    """The ids and the bytes of the two arrays, or the error's type and text."""
+    try:
+        ids, rates, predictors = load(text)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc).__name__, str(exc)
+    return ids, rates.shape, rates.tobytes(), predictors.shape, predictors.tobytes()
+
+
+TABLE_HEAD = ",".join(ANALYSIS_TABLE_HEADER)
+TABLE_IDS = ["a", "b", "c", "st00001", "st00002", "Zürich", "東京", "a b", "", "b "]
+PLAIN_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr) \
+    | st.floats(-1e3, 1e3).map("{:.6f}".format) | st.sampled_from(["0", "-0", "7", "1e3"])
+# Cells that ``float`` refuses, reads as non-finite, or reads though they
+# are not in the plain decimal forms above.
+ODD_CELLS = st.sampled_from(["nan", "inf", "-inf", "high", "1_000", " 1.5", "1.5 ", "",
+                             "+2", "١", "0x10", '"2.5"', '"3', "1\x002"])
+# Whole-line faults, and lines the csv module reads in its own way.
+ODD_LINES = st.sampled_from([
+    "", "   ", '"q,1",1,2,3,4,5,6,7,8', 'a"b,1,2,3,4,5,6,7,8', "cr\r1,2,3,4,5,6,7,8,9",
+    "nul\x00,1,2,3,4,5,6,7,8", "eight,1,2,3,4,5,6,7", "ten,1,2,3,4,5,6,7,8,9",
+    "{long},1,2,3,4,5,6,7,8",
+])
+
+
+def _table_line(row):
+    station, cells = row
+    return ",".join([station, *cells])
+
+
+@st.composite
+def mixed_tables(draw):
+    """Plain rows with, now and then, a fallback trigger among them."""
+    plain_only = draw(st.booleans())
+    cells = PLAIN_CELLS if plain_only else PLAIN_CELLS | ODD_CELLS
+    rows = draw(st.lists(st.tuples(st.sampled_from(TABLE_IDS),
+                                   st.lists(cells, min_size=8, max_size=8)),
+                         max_size=12, unique_by=(lambda row: row[0]) if plain_only else None))
+    lines = [_table_line(row) for row in rows]
+    if not plain_only:
+        for line in draw(st.lists(ODD_LINES, max_size=3)):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         line.replace("{long}", "x" * (csv.field_size_limit() + 1)))
+    head = draw(st.sampled_from([TABLE_HEAD] * 4 + [TABLE_HEAD + ",extra", TABLE_HEAD.upper(),
+                                                    TABLE_HEAD + "\r"]))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return end.join([head, *lines]) + draw(st.sampled_from([end, ""]))
+
+
+class TestAnalysisTableBatchRead:
+    """A plain table read in one pass, and any other text read row by row,
+    give the row reader's ids and values, or its ``ParseError``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=mixed_tables())
+    def test_matches_the_row_reader(self, text):
+        assert table_outcome(load_analysis_table, text) == \
+            table_outcome(load_analysis_table_oracle, text)
+
+    def test_plain_tables_take_the_one_pass(self, table1_text, rng, monkeypatch):
+        ids = [f"st{k:05d}" for k in rng.permutation(50)]
+        rates, predictors = rng.normal(size=(50, 3)), rng.normal(size=(50, 5))
+        for text in (table1_text, analysis_table_to_csv_text(ids, rates, predictors),
+                     table1_text + "\n\n", table1_text.rstrip("\n")):
+            want = table_outcome(load_analysis_table_oracle, text)
+            with monkeypatch.context() as m:
+                m.setattr(frames, "_csv_rows", None)  # the row reader is not called
+                assert table_outcome(load_analysis_table, text) == want
+
+    @pytest.mark.parametrize("edit, plain", [
+        (lambda lines: lines.insert(2, '"q",1,2,3,4,5,6,7,8'), False),
+        (lambda lines: lines.__setitem__(1, lines[1] + "\r"), False),
+        (lambda lines: lines.__setitem__(1, "\x00" + lines[1]), False),
+        (lambda lines: lines.insert(2, "x" * (csv.field_size_limit() + 1)), False),
+        (lambda lines: lines.__setitem__(1, lines[1] + ",9"), False),
+        (lambda lines: lines.__setitem__(1, lines[1].rsplit(",", 1)[0]), False),
+        (lambda lines: lines.__setitem__(1, lines[1].rsplit(",", 1)[0] + ",nan"), False),
+        (lambda lines: lines.append(lines[1]), False),
+        (lambda lines: lines.__setitem__(0, lines[0] + ","), False),
+        # forms that ``float`` reads, so both passes take them
+        (lambda lines: lines.__setitem__(1, lines[1].rsplit(",", 1)[0] + ",1_000"), True),
+        (lambda lines: lines.__setitem__(1, lines[1].rsplit(",", 1)[0] + ", 1.5"), True),
+    ], ids=["quote", "cr", "nul", "long-line", "10-fields", "8-fields", "nan", "repeated-id",
+            "header", "underscore", "space"])
+    def test_which_tables_take_the_row_reader(self, table1_text, edit, plain, monkeypatch):
+        lines = table1_text.split("\n")
+        edit(lines)
+        text = "\n".join(lines)
+        want = table_outcome(load_analysis_table_oracle, text)
+        calls = []
+        row_reader = frames._csv_rows
+        monkeypatch.setattr(frames, "_csv_rows",
+                            lambda *args: calls.append(args) or row_reader(*args))
+        assert table_outcome(load_analysis_table, text) == want
+        assert len(calls) == (0 if plain else 1)
 
 
 def assert_table_round_trip(ids, rates, predictors):

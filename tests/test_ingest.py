@@ -556,6 +556,8 @@ class TestResponseCache:
         assert transport.call_count == 1
         assert as_series(series) == {"A": parse_counts_oracle(COUNTS)["A"]}
         assert cache.load(URL) == COUNTS
+        # the stale sidecar went with the old body
+        assert [p.name for p in cache.directory.iterdir()] == [entry_path(cache, URL).name]
 
     @pytest.mark.parametrize("damage", [
         lambda entry: entry.replace(b"\n", b""),  # no newline

@@ -1,15 +1,18 @@
 import csv
 import io
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bikepls import plsr
-from bikepls.errors import IncompleteBundle
+from bikepls.errors import IncompleteBundle, ShapeMismatch, StaleTable
 from bikepls.frames import TRANSITION_LABELS, AnalysisFrame
 from bikepls.report import (
+    BUNDLE_VERSION,
+    BUNDLED_TABLE,
     ReportBundle,
     bundle_from_json,
     bundle_to_json,
@@ -229,66 +232,70 @@ class TestFigureData:
             export_figure_data(partial)
 
 
+def bundled_document(bundle, table1_text):
+    return bundle_to_json(bundle, BUNDLED_TABLE, table1_text, False)
+
+
 class TestBundle:
     def test_requires_all_periods(self, table1_frames, table1_models):
         label = TRANSITION_LABELS[0]
         with pytest.raises(IncompleteBundle):
             ReportBundle({label: (table1_frames[label], table1_models[label])})
 
-    def test_json_round_trip_renders_identically(self, bundle):
-        back = bundle_from_json(bundle_to_json(bundle))
+    def test_json_round_trip_renders_identically(self, bundle, table1_text):
+        text = bundled_document(bundle, table1_text)
+        back = bundle_from_json(text)
         assert render_all(back) == render_all(bundle)
-        assert bundle_to_json(back) == bundle_to_json(bundle)
+        assert bundled_document(back, table1_text) == text
 
-    def test_rejects_version_1_documents(self, bundle):
-        doc = json.loads(bundle_to_json(bundle))
+    def test_rejects_version_1_documents(self, bundle, table1_text):
+        doc = json.loads(bundled_document(bundle, table1_text))
         doc["version"] = 1
         with pytest.raises(ValueError, match="re-run `analyze`"):
             bundle_from_json(json.dumps(doc))
         # a current bundle that embeds a version-1 model is refused too
-        doc["version"] = 3
+        doc["version"] = BUNDLE_VERSION
         doc["periods"][TRANSITION_LABELS[0]]["model"]["version"] = 1
         with pytest.raises(ValueError, match="re-run `analyze`"):
             bundle_from_json(json.dumps(doc))
 
-    def test_round_trip_is_bit_exact(self, bundle):
-        text = bundle_to_json(bundle)
-        back = bundle_from_json(text)
+    def test_round_trip_is_bit_exact(self, bundle, table1_text):
+        back = bundle_from_json(bundled_document(bundle, table1_text))
         for period in TRANSITION_LABELS:
-            frame, got = bundle.periods[period][0], back.periods[period][0]
+            (frame, model), (got, got_model) = bundle.periods[period], back.periods[period]
             for name in ("x", "y", "x_source_means", "x_source_stds"):
                 assert getattr(got, name).tobytes() == getattr(frame, name).tobytes()
             assert got.station_ids == frame.station_ids
             assert got.predictor_names == frame.predictor_names
             assert got.transition == period
-        assert bundle_to_json(back) == text
+            assert plsr.model_to_json(got_model) == plsr.model_to_json(model)
 
-    def test_loaded_periods_share_one_matrix(self, bundle):
-        back = bundle_from_json(bundle_to_json(bundle))
+    def test_loaded_periods_share_one_matrix(self, bundle, table1_text):
+        back = bundle_from_json(bundled_document(bundle, table1_text))
         xs = {id(back.periods[t][0].x) for t in TRANSITION_LABELS}
         assert len(xs) == 1
 
-    def test_document_holds_one_predictor_matrix(self, bundle):
-        doc = json.loads(bundle_to_json(bundle))
+    def test_document_names_its_table_and_holds_no_samples(self, bundle, table1_text):
+        doc = json.loads(bundled_document(bundle, table1_text))
+        assert set(doc) == {"format", "version", "table", "table_sha256",
+                            "standardize_y", "periods"}
+        assert doc["table"] == BUNDLED_TABLE and doc["standardize_y"] is False
+        assert len(doc["table_sha256"]) == 64
         found = []
 
         def walk(node):
             if isinstance(node, dict):
-                for key, value in node.items():
-                    if key == "x":
-                        found.append(value)
+                found.extend(key for key in node if key in ("x", "y"))
+                for value in node.values():
                     walk(value)
             elif isinstance(node, list):
                 for value in node:
                     walk(value)
 
         walk(doc)
-        frame = bundle.periods[TRANSITION_LABELS[0]][0]
-        assert len(found) == 1
-        assert found[0]["shape"] == list(frame.x.shape)
-        assert len(found[0]["data"]) == frame.n_samples * frame.n_predictors
+        assert found == []
         for period in TRANSITION_LABELS:
-            assert set(doc["periods"][period]) == {"y", "model"}
+            assert set(doc["periods"][period]) == {"model"}
 
     def test_rejects_version_2_documents(self, bundle, table1_models):
         # the version-2 layout: a full frame, with its own x, per period
@@ -301,20 +308,29 @@ class TestBundle:
         with pytest.raises(ValueError, match="version 2 .*re-run `analyze`"):
             bundle_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("field", ["station_ids", "predictor_names", "x",
-                                       "x_source_means", "x_source_stds"])
-    def test_rejects_periods_that_differ(self, field, table1_frames, table1_models):
-        frame = table1_frames[TRANSITION_LABELS[1]]
-        value = getattr(frame, field)
-        if isinstance(value, tuple):
-            changed = value[:-1] + ("other",)
-        else:
-            changed = value.copy()
-            changed.flat[0] = -changed.flat[0]
+    def test_changed_or_missing_table_is_stale(self, bundle, table1_text, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text(table1_text)
+        text = bundle_to_json(bundle, str(table), table1_text, False)
+        assert render_all(bundle_from_json(text)) == render_all(bundle)
+        table.write_text(table1_text + "\n")  # a blank line: the same rows, other text
+        with pytest.raises(StaleTable,
+                           match="^" + re.escape(f"analysis table {table} has changed")):
+            bundle_from_json(text)
+        table.unlink()
+        with pytest.raises(StaleTable, match="^" + re.escape(f"analysis table {table} not found")):
+            bundle_from_json(text)
+
+    @pytest.mark.parametrize("field", ["predictor_names", "n_samples"])
+    def test_rejects_a_model_fit_to_another_frame(self, field, table1_frames,
+                                                  table1_models):
+        period = TRANSITION_LABELS[1]
+        model = table1_models[period]
+        changed = (model.predictor_names[:-1] + ("other",) if field == "predictor_names"
+                   else model.n_samples - 1)
         periods = {t: (table1_frames[t], table1_models[t]) for t in TRANSITION_LABELS}
-        periods[TRANSITION_LABELS[1]] = (replace(frame, **{field: changed}),
-                                         table1_models[TRANSITION_LABELS[1]])
-        with pytest.raises(ValueError, match=f"differ in {field}"):
+        periods[period] = (table1_frames[period], replace(model, **{field: changed}))
+        with pytest.raises(ShapeMismatch, match=f"the {period} model was fit to"):
             ReportBundle(periods)
 
     def test_accepts_equal_copies(self, table1_frames, table1_models):
