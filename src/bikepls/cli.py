@@ -137,17 +137,16 @@ def _read_counts(paths: tuple[str, ...]):
     (station, date) that two files both hold."""
     from . import frames, ingest
 
-    merged = None
+    files = []
     for path in paths:
         data = Path(path)
         if not data.exists():
             raise FileNotFoundError(f"counts file not found: {data}")
         try:
-            counts = ingest.parse_counts_csv(data.read_bytes())
+            files.append((str(data), ingest.parse_counts_csv(data.read_bytes())))
         except ParseError as exc:
             raise ParseError(f"{data}: {exc}") from None
-        merged = counts if merged is None else frames.merge_counts(merged, counts)
-    return merged
+    return frames.merge_counts(files)
 
 
 def cmd_fetch(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
@@ -181,7 +180,6 @@ def cmd_fetch(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
 
 def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
-    import csv
     import json
 
     from . import catchment, frames, ingest
@@ -234,10 +232,8 @@ def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
         table_ids, [rates[s] for s in table_ids], [profiles[s].as_row() for s in table_ids]
     ))
     if errors:
-        with open(out_dir / "derive_errors.csv", "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["station_id", "error", "message"])
-            writer.writerows(sorted(errors))
+        (out_dir / "derive_errors.csv").write_text(frames._csv_document(
+            [("station_id", "error", "message"), *sorted(errors)]))
         for sid, kind, msg in sorted(errors):
             print(f"{sid},{kind},{msg}", file=sys.stderr)
     summary = {"profiles": len(profiles), "transitions": len(rates), "errors": len(errors)}

@@ -62,9 +62,8 @@ class Counts:
 
     ``station`` indexes ``station_ids``, which are in order of first
     appearance; ``day`` holds date ordinals (``date.toordinal``) and
-    ``count`` the non-negative totals, int64 (object when a count does not
-    fit 31 bits, so that period totals stay exact). Rows are sorted by
-    (station, day), with no pair twice.
+    ``count`` the non-negative totals, int64. Rows are sorted by (station,
+    day), with no pair twice.
     """
 
     station_ids: tuple[str, ...]
@@ -100,37 +99,33 @@ def sorted_counts(station_ids: Sequence[str], station: np.ndarray, day: np.ndarr
     return counts, (int(repeats.min()) if len(repeats) else None)
 
 
-def merge_counts(first: Counts, second: Counts) -> Counts:
-    """Rows of both, for counts split across files.
+def merge_counts(files: Sequence[tuple[str, Counts]]) -> Counts:
+    """The rows of one or more files' counts, given as (file name, counts)
+    pairs.
 
-    Raises
-    ------
-    ValueError
-        Naming the first (station, date) of ``second`` that ``first`` also
-        holds, in (station by first appearance, date) order, as a per-station
-        merge finds it.
+    Raises ``ParseError`` naming the first (station, date) of a file that
+    an earlier file also holds, with both files: files in order, each
+    file's pairs in (station by first appearance, date) order, as a
+    file-by-file merge finds it.
     """
-    ids = dict.fromkeys(first.station_ids + second.station_ids)
+    parts = [counts for _, counts in files]
+    ids = dict.fromkeys(station for counts in parts for station in counts.station_ids)
     code = {station: k for k, station in enumerate(ids)}
-    station = np.array([code[s] for s in second.station_ids], dtype=np.int64)[second.station]
-    held = first.keys()
-    keys = (station << _DAY_BITS) | second.day
-    at = np.searchsorted(held, keys)
-    shared = at < len(held)
-    shared[shared] = held[at[shared]] == keys[shared]
-    if shared.any():
-        row = int(np.argmax(shared))
-        raise ValueError(
-            f"duplicate observation for ({second.station_ids[second.station[row]]}, "
-            f"{dt.date.fromordinal(int(second.day[row]))}) across files"
-        )
-    merged, _ = sorted_counts(
-        tuple(ids),
-        np.concatenate([first.station, station]),
-        np.concatenate([first.day, second.day]),
-        np.concatenate([first.count, second.count]),
-    )
-    return merged
+    station = np.concatenate([np.array([code[s] for s in c.station_ids], dtype=np.int64)[c.station]
+                              for c in parts])
+    day = np.concatenate([c.day for c in parts])
+    count = np.concatenate([c.count for c in parts])
+    # Each file's rows are in the order above and repeat no pair, so the
+    # first row that repeats an earlier one is the first a merge meets.
+    merged, repeat = sorted_counts(tuple(ids), station, day, count)
+    if repeat is None:
+        return merged
+    keys = (station << _DAY_BITS) | day
+    bounds = np.cumsum([len(c) for c in parts])
+    later, earlier = bounds.searchsorted([repeat, np.argmax(keys == keys[repeat])], side="right")
+    raise ParseError(f"{files[later][0]}: duplicate observation for "
+                     f"({merged.station_ids[station[repeat]]}, "
+                     f"{dt.date.fromordinal(int(day[repeat]))}), also in {files[earlier][0]}")
 
 
 @dataclass(frozen=True)
@@ -207,12 +202,18 @@ class TransitionTable:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as a CSV field, quoted as ``csv.writer`` quotes it with its
-    default ``\\r\\n`` terminator: only when it holds a comma, a quote,
-    ``\\r`` or ``\\n``, with its quotes doubled."""
+    """``text`` as a CSV field: quoted only when it holds a comma, a quote,
+    ``\\r`` or ``\\n``, with its quotes doubled. Every CSV the package
+    writes quotes its text fields by this one rule."""
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _csv_document(rows: Iterable[Sequence[str]]) -> str:
+    """``rows`` of text fields as CSV, each field quoted by ``_csv_field``
+    and each line ended by ``\\n``."""
+    return "".join([",".join(map(_csv_field, row)) + "\n" for row in rows])
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[tuple[str, Sequence[float]]]) -> str:
@@ -403,7 +404,10 @@ def period_totals(
                for _, start, end in schedule.periods]
     lo, hi = _window_rows(counts, [w.toordinal() for w, _ in windows],
                           [w.toordinal() for _, w in windows])
-    cumulative = np.concatenate([np.zeros(1, dtype=counts.count.dtype), np.cumsum(counts.count)])
+    # The running sum may wrap int64, but a difference of two wrapped sums
+    # is exact modulo 2**64, and a window's total (at most 366 counts of
+    # 15 digits) is below 2**63, so each total is exact.
+    cumulative = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts.count)])
     return cumulative[hi] - cumulative[lo], hi - lo
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import functools
 import hashlib
 import io
 import itertools
@@ -169,18 +168,18 @@ def _cell_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     end at the comma before the count, then the k that end at the line's
     end.
 
-    The masks, (4, 2 + k, 8k + 2), test a plain date (``YYYY-MM-DD`` after
-    the first comma, with a month's first digit at most 1) and a plain
-    count of each size up to 8k + 1 digits (the last index). A count of no
-    digits or of more than 18 matches no text: its template wants bytes
-    0xFF, which UTF-8 never holds. The places, (2 + k, 8, 2 + 2k), turn the
-    words' digit bytes into the date's month index (``20 * year + month``)
-    and day of the month, then the count's value four digits at a time.
-    Each is below 2**24, so float32 holds it exactly.
+    The masks, (4, 2 + k, 8k + 2), test a date (``YYYY-MM-DD`` after the
+    first comma, with a month's first digit at most 1) and a count of each
+    size up to 8k + 1 digits (the last index). A count of no digits or of
+    more than 15 matches no text: its template wants bytes 0xFF, which
+    UTF-8 never holds. The places, (2 + k, 8, 2 + 2k), turn the words'
+    digit bytes into the date's month index (``20 * year + month``) and day
+    of the month, then the count's value four digits at a time. Each is
+    below 2**24, so float32 holds it exactly.
     """
     date = b"?????,9999-19-99"
     masks = np.stack([_word_masks(date + (b"?" * (8 * k - size) + b"9" * size
-                                         if 1 <= size <= min(18, 8 * k) else b"\xff" * 8 * k))
+                                         if 1 <= size <= min(15, 8 * k) else b"\xff" * 8 * k))
                       for size in range(8 * k + 2)], axis=-1)
     places = np.zeros((16 + 8 * k, 2 + 2 * k), np.float32)
     places[[6, 7, 8, 9, 11, 12, 14, 15], [0, 0, 0, 0, 0, 0, 1, 1]] = [20000, 2000, 200, 20,
@@ -190,8 +189,8 @@ def _cell_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, places.reshape(2 + k, 8, 2 + 2 * k)
 
 
-# Counts of up to 8, 16 and 24 digits; a plain count has 1 to 18.
-_CELL_TABLES = {k: _cell_tables(k) for k in (1, 2, 3)}
+# Count cells of up to 8 and 16 bytes; a count has 1 to 15 digits.
+_CELL_TABLES = {k: _cell_tables(k) for k in (1, 2)}
 
 
 def _month_table() -> tuple[np.ndarray, np.ndarray]:
@@ -215,30 +214,37 @@ _DAYS_BEFORE, _MONTH_DAYS = _month_table()
 _LAST_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * j)) for j in range(9)], np.uint64)
 
 
+def _words(data: bytes) -> np.ndarray:
+    """The 8 bytes from each offset of ``data`` as one little-endian word."""
+    return np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+
+
 def _counts_batches(data: bytes, text: str,
                     codes: dict[str, int]) -> tuple[list[str] | None, Iterator[_Batch]]:
     """The header record of a counts CSV and batches of its other rows,
     split as ``csv.reader`` splits them; line numbers count records.
     Station codes index ``codes``, which gains each new station.
 
-    ``text`` is ``data`` decoded. Text with no quote, carriage return or
-    NUL, no line over the field size limit, and exactly three fields on
-    every line is read from its bytes by ``_byte_rows``; any other text
+    ``text`` is ``data`` decoded. Text with no quote, NUL or carriage
+    return other than in ``\\r\\n``, no line over the field size limit, and
+    exactly three fields on every line is read from its bytes, with the
+    ``\\r`` of each ``\\r\\n`` dropped, by ``_byte_rows``; any other text
     goes through ``csv.reader``.
     """
-    if b'"' not in data and b"\r" not in data and b"\x00" not in data:
+    plain = data.replace(b"\r\n", b"\n") if b"\r" in data else data
+    if b'"' not in plain and b"\r" not in plain and b"\x00" not in plain:
         # Newline and comma bytes are the characters themselves in UTF-8.
-        raw = np.frombuffer(data, np.uint8)
+        raw = np.frombuffer(plain, np.uint8)
         seps = np.flatnonzero((raw == 44) | (raw == 10))
         kinds = raw[seps]
-        if not data.endswith(b"\n"):  # the last line ends where the data does
+        if not plain.endswith(b"\n"):  # the last line ends where the data does
             seps, kinds = np.append(seps, len(raw)), np.append(kinds, 10)
         # On each line a comma, a comma, then the line's end.
         if len(seps) % 3 == 0 and (kinds.reshape(-1, 3) == (44, 44, 10)).all():
             seps = seps.reshape(-1, 3)
             ends = seps[:, 2]
             if (ends[1:] - ends[:-1]).max(initial=ends[0] + 1) <= csv.field_size_limit():
-                return data[:ends[0]].decode().split(","), _byte_batches(data, seps, codes)
+                return plain[:ends[0]].decode().split(","), _byte_batches(plain, seps, codes)
     records = csv.reader(io.StringIO(text))
     try:
         return next(records, None), _record_batches(records, codes)
@@ -260,40 +266,29 @@ def _byte_batches(data: bytes, seps: np.ndarray, codes: dict[str, int]) -> Itera
 def _byte_rows(data: bytes, start: np.ndarray, seps: np.ndarray, first: int,
                codes: dict[str, int]) -> _Batch:
     """The rows of lines numbered from ``first``, each ``station,date,count``
-    from ``start`` with its two commas and its end in ``seps``.
-
-    Plain dates and counts are decoded from the bytes; a line with any
-    other date or count text takes the per-cell conversions.
-    """
+    from ``start`` with its two commas and its end in ``seps``."""
     sep, last, end = seps.T
-    # The 8 bytes from each offset of ``data`` as one word. A word read here
-    # starts at most 22 bytes before its line, after the 22-byte header,
-    # so it lies within ``data``.
-    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
-    plain, day, count = _plain_cells(words, last, end)
-    odd = np.flatnonzero(~plain)
-    if len(odd):
-        spans = (sep[odd].tolist(), last[odd].tolist(), end[odd].tolist())
-        count = _cell_values(day, count, odd,
-                             [data[a + 1:b].decode() for a, b in zip(spans[0], spans[1])],
-                             [data[a + 1:b].decode() for a, b in zip(spans[1], spans[2])])
+    # A word read here starts at most 15 bytes before its line, after the
+    # 22-byte header, so it lies within ``data``.
+    words = _words(data)
+    day, count = _cells(words, sep, last, end)
     station = _station_codes(data, words, start, sep, codes)
     return np.arange(first, first + len(start)), station, day, count, None
 
 
-def _plain_cells(words: np.ndarray, last: np.ndarray,
-                 end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which lines hold a plain date and count, with their day ordinals and
-    counts (meaningless on the other lines), given each line's second
-    comma and end.
+def _cells(words: np.ndarray, sep: np.ndarray, last: np.ndarray,
+           end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The day ordinal and count of each line, given the words of its text
+    and its two commas and end: 0 for a date and -1 for a count outside
+    the grammar that ``parse_counts_csv`` states.
 
-    The digit bytes of the two words that end at the comma and the k that
-    end at the line's end are tested and weighted by the cell tables of
-    the longest count (up to 18 digits).
+    The digit bytes of the two words that end at the second comma and the
+    k that end at the line's end are tested and weighted by the cell
+    tables of the longest count (up to 16 bytes).
     """
     n = len(last)
     size = end - last - 1
-    k = (min(int(size.max()), 18) + 7) // 8 or 1
+    k = 1 if size.max(initial=0) <= 8 else 2
     masks, places = _CELL_TABLES[k]
     at = np.empty((2 + k, n), np.int64)
     at[0], at[1] = last - 16, last - 8
@@ -301,18 +296,21 @@ def _plain_cells(words: np.ndarray, last: np.ndarray,
         at[2 + j] = end - 8 * (k - j)
     x = words[at]
     high, pattern, carry, low = masks.take(np.minimum(size, 8 * k + 1), axis=-1)
-    bad = ((x & high) ^ pattern) | (((x + carry) & high) ^ pattern)
+    bad = ((x & high) ^ pattern) | (((x + carry) & high) ^ pattern) != 0
     values = np.matmul((x & low).view(np.uint8).reshape(2 + k, n, 8), places).sum(axis=0)
     month, day_of_month, *parts = values.astype(np.int64).T
-    # A real calendar day: its month (``20 * year + month``) has days in the
-    # table, and its day of the month is one of them.
+    # A real calendar day: ten bytes between the commas, whose month
+    # (``20 * year + month``) has days in the table, and whose day of the
+    # month is one of them.
     month = np.minimum(month, len(_MONTH_DAYS) - 1)  # on lines that did not match
-    day = _DAYS_BEFORE[month] + day_of_month
-    plain = ~bad.any(axis=0) & (day_of_month >= 1) & (day_of_month <= _MONTH_DAYS[month])
+    real = (~bad[:2].any(axis=0) & (last - sep == 11) & (day_of_month >= 1)
+            & (day_of_month <= _MONTH_DAYS[month]))
+    day = np.where(real, _DAYS_BEFORE[month] + day_of_month, 0)
     count = parts[0]
     for part in parts[1:]:
         count = count * 10**4 + part
-    return plain, day, count
+    count[bad[2:].any(axis=0)] = -1
+    return day, count
 
 
 def _station_codes(data: bytes, words: np.ndarray, start: np.ndarray, sep: np.ndarray,
@@ -368,59 +366,38 @@ def _record_batches(records: Iterator[list[str]], codes: dict[str, int]) -> Iter
                 stop = (number, ParseError(f"line {number}: expected 3 fields, got {len(row)}"))
                 break
         lineno += len(batch)
-        stations, dates, texts = zip(*rows) if rows else ((), (), ())
-        n = len(rows)
-        station = np.array([codes.setdefault(s, len(codes)) for s in stations], np.int64)
-        day = np.zeros(n, np.int64)
-        count = _cell_values(day, np.zeros(n, np.int64), np.arange(n), dates, texts)
+        station = np.array([codes.setdefault(row[0], len(codes)) for row in rows], np.int64)
+        day, count = _record_cells(rows)
         yield np.array(numbers, dtype=np.int64), station, day, count, stop
         if stop:
             return
 
 
-def _cell_values(day: np.ndarray, count: np.ndarray, rows: np.ndarray,
-                 dates: Sequence[str], texts: Sequence[str]) -> np.ndarray:
-    """Set ``day`` and ``count`` at ``rows`` from the per-cell conversions
-    of their date and count texts; return ``count``, of object type when a
-    value does not fit int64."""
-    day[rows] = list(map(_day_ordinal, dates))
-    values = list(map(_count_value, texts))
-    try:
-        count[rows] = values
-    except OverflowError:
-        count = count.astype(object)
-        count[rows] = values
-    return count
-
-
-# Cell conversions, memoized: a counts file repeats the same few hundred
-# date texts and a few thousand count texts. Each calls what a row-by-row
-# parse calls, so the texts accepted stay the same.
-@functools.lru_cache(maxsize=1 << 16)
-def _day_ordinal(text: str) -> int:
-    """``date.fromisoformat(text).toordinal()``, or 0 if that raises."""
-    try:
-        return dt.date.fromisoformat(text).toordinal()
-    except ValueError:
-        return 0
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _count_value(text: str) -> int:
-    """``int(text)``, or -1 if that raises or is negative."""
-    try:
-        return max(int(text), -1)
-    except ValueError:
-        return -1
+def _record_cells(rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The day ordinals and counts of records' date and count cells, read
+    by ``_cells`` from the lines ``,date,count`` after 16 bytes of
+    padding."""
+    cells = [(date.encode(), count.encode()) for _, date, count in rows]
+    data = b"\n" * 16 + b"".join([b",%s,%s\n" % cell for cell in cells])
+    sizes = np.array([(len(date), len(count)) for date, count in cells],
+                     np.int64).reshape(-1, 2)
+    end = 15 + np.cumsum(sizes.sum(axis=1) + 3)
+    last = end - sizes[:, 1] - 1
+    return _cells(_words(data), last - sizes[:, 0] - 1, last, end)
 
 
 def parse_counts_csv(data: bytes) -> Counts:
     """Parse counts CSV bytes into columns, rows sorted by (station, day).
 
+    The grammar of a row's cells, on every path: a date is ``YYYY-MM-DD``
+    in ASCII digits naming a real day (years 0001 to 9999), and a count is
+    1 to 15 ASCII digits, leading zeros allowed. A sum of 366 such counts
+    fits int64.
+
     Raises ``ParseError`` naming the offending line for a bad header, a
-    malformed date, a negative or non-integer count, a duplicate
-    (station, date) observation, or text the csv module refuses. Lines
-    are records, blank ones included, and the first line at fault is named.
+    date or count outside that grammar, a duplicate (station, date)
+    observation, or text the csv module refuses. Lines are records, blank
+    ones included, and the first line at fault is named.
     """
     try:
         text = data.decode("utf-8")
@@ -436,8 +413,6 @@ def parse_counts_csv(data: bytes) -> Counts:
     columns: list[tuple[np.ndarray, ...]] = []
     stop = None
     for numbers, station, day, count, stop in batches:
-        if count.dtype != object and len(count) and count.max() >= 2**31:
-            count = count.astype(object)  # Python ints keep the period totals exact
         columns.append((station, day, count, numbers))
         if (day == 0).any() or (count < 0).any():
             break  # a later line cannot be the first at fault
@@ -447,28 +422,23 @@ def parse_counts_csv(data: bytes) -> Counts:
         for k in range(4)
     )
     counts, repeat = frames.sorted_counts(tuple(codes), station, day, count)
-    faults = np.flatnonzero((day == 0) | (count < 0))[:1].tolist()
-    faulty = [int(numbers[k]) for k in faults + ([repeat] if repeat is not None else [])]
-    if stop is not None:
-        faulty.append(stop[0])
-    if not faulty:
-        return counts
-    lineno = min(faulty)
-    if stop is not None and lineno == stop[0]:
+    # Rows are in line order, so the first row at fault has the lowest line.
+    row = min(np.flatnonzero((day == 0) | (count < 0))[:1].tolist()
+              + ([repeat] if repeat is not None else []), default=None)
+    if stop is not None and (row is None or stop[0] < numbers[row]):
         raise stop[1]
-    records = csv.reader(io.StringIO(text))
-    station_text, date_text, count_text = next(itertools.islice(records, lineno - 1, None))
-    try:
-        date = dt.date.fromisoformat(date_text)
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad date {date_text!r}") from None
-    try:
-        value = int(count_text)
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad count {count_text!r}") from None
-    if value < 0:
-        raise ParseError(f"line {lineno}: negative count {value}")
-    raise ParseError(f"line {lineno}: duplicate observation for ({station_text}, {date})")
+    if row is None:
+        return counts
+    lineno = int(numbers[row])
+    if day[row] and count[row] >= 0:
+        raise ParseError(f"line {lineno}: duplicate observation for "
+                         f"({counts.station_ids[station[row]]}, "
+                         f"{dt.date.fromordinal(int(day[row]))})")
+    _, date_text, count_text = next(itertools.islice(csv.reader(io.StringIO(text)),
+                                                     lineno - 1, None))
+    if not day[row]:
+        raise ParseError(f"line {lineno}: bad date {date_text!r}")
+    raise ParseError(f"line {lineno}: bad count {count_text!r}")
 
 
 def counts_to_csv_text(parts: Iterable[Counts]) -> str:

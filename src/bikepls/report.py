@@ -8,9 +8,7 @@ documents.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +17,13 @@ from typing import Mapping
 import numpy as np
 
 from .errors import IncompleteBundle, ShapeMismatch, StaleTable
-from .frames import TRANSITION_LABELS, AnalysisFrame, frames_from_analysis_table
+from .frames import (
+    TRANSITION_LABELS,
+    AnalysisFrame,
+    _csv_document,
+    _csv_field,
+    frames_from_analysis_table,
+)
 from .plsr import (
     PlsModel,
     check_document,
@@ -103,14 +107,6 @@ def _table_rows(frame: AnalysisFrame, model: PlsModel, name: str) -> tuple[list[
     return header, body
 
 
-def _to_csv(header: list[str], body: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(body)
-    return buf.getvalue()
-
-
 def _to_markdown(header: list[str], body: list[list[str]]) -> str:
     lines = [
         "| " + " | ".join(header) + " |",
@@ -134,30 +130,12 @@ def render_tables(bundle: ReportBundle, fmt: str = "csv") -> dict[str, str]:
         frame, model = bundle.periods[period]
         for name in TABLE_NAMES:
             header, body = _table_rows(frame, model, name)
-            text = _to_csv(header, body) if fmt == "csv" else _to_markdown(header, body)
+            text = _csv_document([header, *body]) if fmt == "csv" else _to_markdown(header, body)
             docs[f"reports/{period}/{name}.{ext}"] = text
     return docs
 
 
 FIGURE_HEADER = "station_id,predictor_value,change_rate"
-
-
-class _LineSink(list):
-    """A file-like target that keeps each line a ``csv.writer`` writes."""
-
-    write = list.append
-
-
-def _station_cells(station_ids: tuple[str, ...]) -> list[str]:
-    """Each station id as ``csv.writer`` writes it, with the comma after it.
-
-    A row's quoting of one field does not depend on the others unless the
-    row is a single empty field, so a two-field row gives the same bytes
-    as the station cell of a full figure row.
-    """
-    sink = _LineSink()
-    csv.writer(sink, lineterminator="\n").writerows((s, "") for s in station_ids)
-    return [line[:-1] for line in sink]
 
 
 def export_figure_data(frames: Mapping[str, AnalysisFrame]) -> dict[str, str]:
@@ -177,7 +155,7 @@ def export_figure_data(frames: Mapping[str, AnalysisFrame]) -> dict[str, str]:
     for period in TRANSITION_LABELS:
         frame = frames[period]
         if frame.station_ids not in stations:
-            stations[frame.station_ids] = _station_cells(frame.station_ids)
+            stations[frame.station_ids] = [_csv_field(s) + "," for s in frame.station_ids]
         cells = stations[frame.station_ids]
         columns = next((cols for x, cols in formatted if x is frame.x), None)
         if columns is None:

@@ -11,12 +11,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bikepls import ingest
 from bikepls.cli import main
 from bikepls.frames import TRANSITION_LABELS, load_analysis_table
 from conftest import FIXTURES, REPO_ROOT
@@ -150,6 +152,39 @@ class TestDerive:
                        "derive", "--counts-csv", str(good), str(bad))
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: line 2: bad date '2020/")
+
+    def test_duplicate_across_two_files_names_both(self, demo_config, tmp_path, capsys):
+        first, later = FIXTURES / "counts_2018.csv", tmp_path / "counts_2020.csv"
+        later.write_text((FIXTURES / "counts_2020.csv").read_text() + "st_cherry,2018-02-10,7\n")
+        code = run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "out"),
+                       "derive", "--counts-csv", str(first), str(later))
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {later}: duplicate observation for "
+                                           f"(st_cherry, 2018-02-10), also in {first}\n")
+
+    def test_duplicate_between_first_and_third_file(self, demo_config, tmp_path, capsys):
+        first, third = FIXTURES / "counts_2018.csv", tmp_path / "more_2018.csv"
+        third.write_text("station_id,date,count\nst_new,2018-01-12,1\n"
+                         "st_platte,2018-02-20,5\nst_platte,2018-01-12,6\n")
+        code = run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "out"),
+                       "derive", "--counts-csv", str(first), str(FIXTURES / "counts_2020.csv"),
+                       str(third))
+        assert code == 2
+        # the first pair of the file in (station, date) order
+        assert capsys.readouterr().err == (f"error: {third}: duplicate observation for "
+                                           f"(st_platte, 2018-01-12), also in {first}\n")
+
+    def test_crlf_counts_take_the_byte_path(self, demo_config, tmp_path):
+        counts = []
+        for name in ("counts_2018.csv", "counts_2020.csv"):
+            counts.append(tmp_path / name)
+            counts[-1].write_bytes((FIXTURES / name).read_bytes().replace(b"\n", b"\r\n"))
+        out = tmp_path / "out"
+        with mock.patch.object(ingest, "_record_batches", side_effect=AssertionError):
+            assert run_cli("--config", str(demo_config), "--output-dir", str(out), "derive",
+                           "--counts-csv", *map(str, counts)) == 0
+        for name in ("profiles.csv", "transitions.csv", "analysis_table.csv"):
+            assert (out / name).read_bytes() == (FIXTURES / "expected" / name).read_bytes()
 
     def test_non_finite_census_cell_exits_2_with_line(self, demo_config, tmp_path, capsys):
         income = tmp_path / "acs_income.csv"
@@ -336,12 +371,25 @@ class TestCarriageReturnIds:
         assert run_cli("--output-dir", str(out), "analyze", "--components", "1",
                        "--input", str(table)) == 0
         figure = out / "figures/avg_income__pre_pandemic_to_pandemic.csv"
-        assert "st\rcherry" in figure.read_bytes().decode()
+        with open(figure, newline="") as f:
+            assert [row[0] for row in csv.reader(f)][1:] == ["st\rcherry", "st_platte"]
         # `report` reads the table again, through the row reader
         written = document_tree(out)
         figure.unlink()
         assert run_cli("--output-dir", str(out), "report") == 0
         assert document_tree(out) == written
+
+    def test_unassigned_id_survives_the_error_file(self, demo_config, tmp_path, capsys):
+        stations = tmp_path / "stations.csv"
+        stations.write_bytes((FIXTURES / "stations.csv").read_bytes()
+                             + b'"st\rfar",10.0,10.0,Far away\n')
+        out = tmp_path / "out"
+        assert run_cli("--config", str(demo_config), "--output-dir", str(out), "derive",
+                       "--stations", str(stations)) == 2
+        with open(out / "derive_errors.csv", newline="") as f:
+            assert list(csv.reader(f)) == [["station_id", "error", "message"],
+                                           ["st\rfar", "Unassigned",
+                                            "no county within catchment radius"]]
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_stations_line_ends(self, demo_config, tmp_path, newline):

@@ -128,6 +128,19 @@ class TestPeriodTotals:
         totals, _ = period_totals(counts_of(s), SCHEDULE, 2018)
         assert totals[0, 0] == 2
 
+    def test_totals_exact_where_the_running_sum_wraps(self):
+        # 15-digit counts on 30 stations x 366 days: the running sum over
+        # all rows passes 2**63, yet every window total is the exact sum
+        days = [dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(366)]
+        rows = [(f"s{k}", str(day), 10**15 - 1 - (k * 366 + j) % 977)
+                for k in range(30) for j, day in enumerate(days)]
+        counts = counts_of(rows)
+        assert sum(c for _, _, c in rows) >= 2**63
+        totals, _ = period_totals(counts, SCHEDULE, 2020)
+        want = [[sum(c for s, day, c in rows if s == station and start <= d(day) <= end)
+                 for _, start, end in SCHEDULE.periods] for station in counts.station_ids]
+        assert totals.dtype == np.int64 and totals.tolist() == want
+
     def test_empty_series_invalid(self):
         # a station with rows, but none in 2020
         s18, _ = _two_year_series((1, 1, 1, 1), (1, 1, 1, 1))
@@ -184,7 +197,8 @@ def merge_oracle(parts):
     """The dict merge the column merge replaced: files in order, each
     file's stations in order of first appearance, dates ascending."""
     merged: dict[str, dict] = {}
-    for rows in parts:
+    held: dict[tuple[str, dt.date], str] = {}
+    for name, rows in parts:
         series: dict[str, dict] = {}
         for station, day, count in rows:
             series.setdefault(station, {})[d(day)] = count
@@ -192,9 +206,10 @@ def merge_oracle(parts):
             per_station = merged.setdefault(station, {})
             for date, count in sorted(dates.items()):
                 if date in per_station:
-                    raise ValueError(
-                        f"duplicate observation for ({station}, {date}) across files")
+                    raise ParseError(f"{name}: duplicate observation for ({station}, {date}), "
+                                     f"also in {held[station, date]}")
                 per_station[date] = count
+                held[station, date] = name
     return {station: sorted(dates.items()) for station, dates in merged.items()}
 
 
@@ -203,19 +218,18 @@ class TestMergeCounts:
         days = [str(dt.date(2020, 1, 1) + dt.timedelta(days=k)) for k in range(40)]
         for _ in range(200):
             parts = []
-            for _ in range(int(rng.integers(2, 4))):
+            for k in range(int(rng.integers(1, 5))):
                 rows = {(f"s{int(rng.integers(0, 5))}", days[int(rng.integers(0, 40))]): 1
                         for _ in range(int(rng.integers(0, 25)))}
-                parts.append([(s, day, int(rng.integers(0, 9))) for s, day in rows])
+                parts.append((f"file{k}.csv",
+                              [(s, day, int(rng.integers(0, 9))) for s, day in rows]))
             try:
                 want = merge_oracle(parts)
-            except ValueError as exc:
+            except ParseError as exc:
                 want = str(exc)
             try:
-                merged = counts_of(parts[0])
-                for rows in parts[1:]:
-                    merged = merge_counts(merged, counts_of(rows))
-            except ValueError as exc:
+                merged = merge_counts([(name, counts_of(rows)) for name, rows in parts])
+            except ParseError as exc:
                 got = str(exc)
             else:
                 assert (np.diff(merged.keys()) > 0).all()

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bikepls import frames, ingest
+from bikepls.cli import main
 from bikepls.errors import (
     CacheCorrupt,
     CategoryCountMismatch,
@@ -72,9 +73,27 @@ def oracle_records(text: str) -> Iterator[list[str]]:
             raise ParseError(f"line {number}: {exc}") from None
 
 
+# The cell grammar, stated here apart from the parser: a date is
+# ``YYYY-MM-DD`` in ASCII digits naming a real day, a count 1 to 15 ASCII
+# digits.
+DATE_TEXT = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
+COUNT_TEXT = re.compile(r"[0-9]{1,15}")
+
+
+def grammar_date(text: str) -> dt.date | None:
+    """The day a date cell names, or None when it is outside the grammar."""
+    match = DATE_TEXT.fullmatch(text)
+    if match is None:
+        return None
+    year, month, day = (int(part) for part in match.groups())
+    if year < 1 or not 1 <= month <= 12 or not 1 <= day <= calendar.monthrange(year, month)[1]:
+        return None
+    return dt.date(year, month, day)
+
+
 def parse_counts_oracle(data: bytes) -> dict[str, tuple[tuple[dt.date, int], ...]]:
-    """The row-by-row parser the columnar one replaced: one date-sorted
-    series per station, stations in order of first appearance."""
+    """A row-by-row parser of the same grammar: one date-sorted series per
+    station, stations in order of first appearance."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -93,20 +112,15 @@ def parse_counts_oracle(data: bytes) -> dict[str, tuple[tuple[dt.date, int], ...
         if len(row) != 3:
             raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
         station, date_text, count_text = row
-        try:
-            date = dt.date.fromisoformat(date_text)
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad date {date_text!r}") from None
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad count {count_text!r}") from None
-        if count < 0:
-            raise ParseError(f"line {lineno}: negative count {count}")
+        date = grammar_date(date_text)
+        if date is None:
+            raise ParseError(f"line {lineno}: bad date {date_text!r}")
+        if not COUNT_TEXT.fullmatch(count_text):
+            raise ParseError(f"line {lineno}: bad count {count_text!r}")
         per_station = rows.setdefault(station, {})
         if date in per_station:
             raise ParseError(f"line {lineno}: duplicate observation for ({station}, {date})")
-        per_station[date] = count
+        per_station[date] = int(count_text)
     return {station: tuple(sorted(dates.items())) for station, dates in rows.items()}
 
 
@@ -201,6 +215,7 @@ EDGE_PAYLOADS = [
     HEADER + '"x""y",2020-01-01,1\n',
     HEADER + '""\n',
     HEADER + '"multi\nline",2020-01-01,1\nA,2020-01-01,x\n',
+    HEADER + 'A,"x,2020-01-01",1\nA,"2020-01-02\n",1\n',
     HEADER.replace("\n", "\r\n") + "A,2020-01-01,1\r\nA,2020-01-02,2\r\n",
     HEADER + "A,2020-01-01,1\rA,2020-01-02,2\n",
     HEADER + "A,bad,1\nA,2020-01-01,1\rA,2020-01-02,2\n",
@@ -223,8 +238,8 @@ EDGE_PAYLOADS = [
 
 
 class TestAgainstRowByRowOracle:
-    """The columnar parser accepts, rejects and names lines as the
-    row-by-row parser it replaced."""
+    """The columnar parser accepts, rejects and names lines as a
+    row-by-row parser of the same grammar."""
 
     @pytest.mark.parametrize("text", EDGE_PAYLOADS)
     def test_edge_payloads(self, text):
@@ -297,10 +312,60 @@ class TestAgainstRowByRowOracle:
         assert outcome(parse_counts_csv, data) == outcome(parse_counts_oracle, data)
 
 
-# Cells around the plain forms that the byte pass decodes (``YYYY-MM-DD``
-# naming a real day, 1 to 18 ASCII digits) and odd ones that the per-cell
-# conversions decide, accepted or not. Equal days in both forms make
-# duplicates across the two paths.
+# Cell texts and what the grammar makes of them, written out: the day or
+# count they hold, or the fault they end in.
+GRAMMAR_TABLE = [
+    ("date", "2020-02-29", dt.date(2020, 2, 29)),
+    ("date", "2019-02-29", "bad date"),
+    ("date", "0000-01-01", "bad date"),
+    ("date", "20200101", "bad date"),
+    ("date", "2020-W01-3", "bad date"),
+    ("count", "999999999999999", 999_999_999_999_999),
+    ("count", "000000000000007", 7),
+    ("count", "1000000000000000", "bad count"),
+    ("count", "٣", "bad count"),
+    ("count", "５", "bad count"),
+    ("count", "+5", "bad count"),
+    ("count", " 5", "bad count"),
+    ("count", "5_000", "bad count"),
+    ("count", "-0", "bad count"),
+    ("count", "-3", "bad count"),
+]
+
+
+def grammar_payload(cell: str, text: str, station: str = "A") -> bytes:
+    """A counts file whose line 3 holds ``text`` as its date or count."""
+    date, count = (text, "1") if cell == "date" else ("2020-02-29", text)
+    return f"{HEADER}A,2020-01-01,1\n{station},{date},{count}\n".encode()
+
+
+class TestGrammar:
+    """Every path reads a cell by the one grammar, whatever the Python."""
+
+    @pytest.mark.parametrize("station", ["B", '"B"'], ids=["bytes", "csv-reader"])
+    @pytest.mark.parametrize("cell, text, want", GRAMMAR_TABLE)
+    def test_cell(self, cell, text, want, station):
+        data = grammar_payload(cell, text, station)
+        if isinstance(want, str):
+            assert outcome(parse_counts_csv, data) == ("ParseError", f"line 3: {want} {text!r}")
+        else:
+            counts = parse_counts_csv(data)
+            got = dt.date.fromordinal(counts.day[1]) if cell == "date" else counts.count[1]
+            assert counts.count.dtype == np.int64 and got == want
+
+    @pytest.mark.parametrize("cell, text, want",
+                             [case for case in GRAMMAR_TABLE if isinstance(case[2], str)])
+    def test_bad_cell_through_the_cli(self, demo_config, tmp_path, capsys, cell, text, want):
+        counts = tmp_path / "counts.csv"
+        counts.write_bytes(grammar_payload(cell, text))
+        assert main(["--config", str(demo_config), "--output-dir", str(tmp_path / "out"),
+                     "derive", "--counts-csv", str(counts)]) == 2
+        assert capsys.readouterr().err == f"error: {counts}: line 3: {want} {text!r}\n"
+
+
+# Cells in the grammar (``YYYY-MM-DD`` naming a real day, 1 to 15 ASCII
+# digits) and odd ones around it, which are faults on every path. Equal
+# days make duplicates.
 BYTE_PATH_IDS = ["A", "B", "", "zbcdefg", "abcdefg", "xabcdefg", "abcdefgh", "1-station-0001",
                  "2-station-0001", "xy0123456789", "0123456789", "Zürich", "東京", "a b"]
 PLAIN_DATES = st.sampled_from(["2020-01-01", "2020-02-29", "2020-12-31", "0001-01-01",
@@ -311,14 +376,15 @@ ODD_DATES = st.sampled_from([
     "2020-13-01", "2020-00-10", "2020-19-01", "2020-10-00", "2020-10-32", "0000-01-01",
     "2020-1-5", " 2020-01-01", "2020-01-01 ", "2020/01/01", "２０２０-01-01", "2020-01-0١",
     "2020-01-01x", "x2020-01-01", "12020-01-01", "", "x"])
-PLAIN_COUNTS = st.integers(0, 10**18 - 1).map(str) | st.integers(0, 999).map("{:05d}".format)
-ODD_COUNTS = st.sampled_from(["+5", " 5", "5 ", "5_000", "-0", "-3", "", "x", "1.5", "٣",
-                              "0" * 19, "1" * 19, "9" * 20, "1e3"])
+PLAIN_COUNTS = st.integers(0, 10**15 - 1).map(str) | st.integers(0, 999).map("{:05d}".format)
+ODD_COUNTS = st.sampled_from(["+5", " 5", "5 ", "5_000", "-0", "-3", "", "x", "1.5", "٣", "５",
+                              "0" * 16, "1" * 16, "9" * 20, "1e3"])
 
 
 class TestBytePath:
-    """Plain lines decoded from bytes and odd lines decoded per cell give
-    the row-by-row parser's columns, first faulty line and message."""
+    """Lines decoded from bytes give the row-by-row parser's columns,
+    first faulty line and message, as do the same lines with every id
+    quoted (read by ``csv.reader``) and with ``\\r\\n`` line ends."""
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from(BYTE_PATH_IDS), PLAIN_DATES | ODD_DATES,
@@ -328,10 +394,15 @@ class TestBytePath:
     def test_mixed_plain_and_odd_cells(self, rows, grouped, final_newline, chunk):
         if grouped:
             rows = sorted(rows, key=lambda row: row[0])
-        text = HEADER + "\n".join(map(",".join, rows)) + ("\n" if final_newline else "")
+        end = "\n" if final_newline else ""
+        text = HEADER + "\n".join(map(",".join, rows)) + end
+        quoted = HEADER + "\n".join(f'"{s}",{d},{c}' for s, d, c in rows) + end
         data = text.encode()
         with mock.patch.object(ingest, "_COUNTS_CHUNK", chunk):
-            assert outcome(parse_counts_csv, data) == outcome(parse_counts_oracle, data)
+            want = outcome(parse_counts_oracle, data)
+            assert outcome(parse_counts_csv, data) == want
+            assert outcome(parse_counts_csv, quoted.encode()) == want
+            assert outcome(parse_counts_csv, data.replace(b"\n", b"\r\n")) == want
 
     @pytest.mark.parametrize("chunk", [64, 1 << 20])
     @pytest.mark.parametrize("grouped", [True, False])
@@ -349,13 +420,12 @@ class TestBytePath:
     def test_every_month_and_day_text(self, year):
         # every month and day text up to 21 and 32, and some past them: the
         # real days parse to their ordinals, every other text is a bad date
-        texts = [f"{year:04d}-{m:02d}-{d:02d}" for m in [*range(22), 29, 31, 99]
-                 for d in [*range(33), 39, 99]]
         real = []
-        for text in texts:
+        for m, d in itertools.product([*range(22), 29, 31, 99], [*range(33), 39, 99]):
             try:
-                real.append(dt.date.fromisoformat(text))
+                real.append(dt.date(year, m, d))
             except ValueError:
+                text = f"{year:04d}-{m:02d}-{d:02d}"
                 data = f"{HEADER}A,{text},1\n".encode()
                 assert outcome(parse_counts_csv, data) == \
                     ("ParseError", f"line 2: bad date {text!r}")

@@ -26,19 +26,23 @@ from conftest import SPECIAL_VALUES
 
 
 def export_figure_data_oracle(frames):
-    """The per-cell figure writer that ``export_figure_data`` replaced."""
+    """The per-cell figure writer that ``export_figure_data`` replaced,
+    quoting as ``csv.writer`` does with its default ``\\r\\n`` terminator
+    (which quotes a field holding ``\\r`` or ``\\n``), each line ended by
+    ``\\n``."""
     docs = {}
     for period in TRANSITION_LABELS:
         frame = frames[period]
         for j, pname in enumerate(frame.predictor_names):
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["station_id", "predictor_value", "change_rate"])
-            for i, station in enumerate(frame.station_ids):
-                writer.writerow(
-                    [station, repr(float(frame.x[i, j])), repr(float(frame.y[i]))]
-                )
-            docs[f"figures/{pname}__{period}.csv"] = buf.getvalue()
+            rows = [["station_id", "predictor_value", "change_rate"]]
+            rows += [[station, repr(float(frame.x[i, j])), repr(float(frame.y[i]))]
+                     for i, station in enumerate(frame.station_ids)]
+            lines = []
+            for row in rows:
+                buf = io.StringIO()
+                csv.writer(buf).writerow(row)
+                lines.append(buf.getvalue()[:-2] + "\n")
+            docs[f"figures/{pname}__{period}.csv"] = "".join(lines)
     return docs
 
 
