@@ -18,9 +18,10 @@ from pathlib import Path
 from .errors import (
     BikeplsError,
     CacheCorrupt,
+    InvalidModel,
     NetworkError,
+    NonFiniteColumn,
     ParseError,
-    SingularProjection,
     TooFewStations,
     ZeroVariance,
 )
@@ -29,7 +30,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
-_INTERNAL_ERRORS = (NetworkError, SingularProjection, CacheCorrupt)
+_INTERNAL_ERRORS = (NetworkError, CacheCorrupt)
 
 
 # Conventional bicycle catchment: 3 miles. The source material cites the
@@ -224,9 +225,7 @@ def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "profiles.csv").write_text(frames.profiles_to_csv_text(profiles))
-    (out_dir / "transitions.csv").write_text(
-        frames.TransitionTable(rates).to_csv_text()
-    )
+    (out_dir / "transitions.csv").write_text(frames.transitions_to_csv_text(rates))
     table_ids = sorted(rates)
     (out_dir / "analysis_table.csv").write_text(frames.analysis_table_to_csv_text(
         table_ids, [rates[s] for s in table_ids], [profiles[s].as_row() for s in table_ids]
@@ -258,7 +257,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
         table, text = BUNDLED_TABLE, load_bundled_table()
     try:
         frame_map = frames.frames_from_analysis_table(text, cfg.standardize_y)
-    except (TooFewStations, ZeroVariance) as exc:
+    except (TooFewStations, ZeroVariance, NonFiniteColumn) as exc:
         raise type(exc)(f"{cfg.input or 'bundled table'}: {exc}") from None
     fitted = {
         label: (frame, plsr.fit(frame, cfg.components))
@@ -297,7 +296,10 @@ def cmd_report(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
     from .report import bundle_from_json, render_all, write_documents
 
     source = cfg.input or str(out_dir / "analysis.json")
-    bundle = bundle_from_json(_read(source, "analysis document"))
+    try:
+        bundle = bundle_from_json(_read(source, "analysis document"))
+    except InvalidModel as exc:
+        raise InvalidModel(f"{source}: {exc}") from None
     written = write_documents(render_all(bundle), out_dir)
     print(json.dumps({"documents": len(written)}) if as_json
           else f"wrote {len(written)} documents under {out_dir}")

@@ -23,8 +23,8 @@ class EmptyHouseholds(BikeplsError):
     """A weighted average was requested over zero households."""
 
 
-class LengthMismatch(BikeplsError):
-    """Paired sequences differ in length."""
+class NonFiniteColumn(BikeplsError):
+    """A column's mean or standard deviation overflows a double."""
 
 
 class ZeroFemale(BikeplsError):
@@ -45,12 +45,12 @@ class TooManyComponents(BikeplsError):
     """More latent factors requested than the data can support."""
 
 
-class SingularProjection(BikeplsError):
-    """The loading/weight projection is numerically singular."""
-
-
 class ShapeMismatch(BikeplsError):
     """Input dimensions do not match the fitted model."""
+
+
+class InvalidModel(BikeplsError):
+    """A model read from a document holds numbers no fit produces."""
 
 
 # --- geometry ---

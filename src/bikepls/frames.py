@@ -21,7 +21,7 @@ from .errors import (
     EmptyHouseholds,
     EmptyPeriod,
     InvalidProfile,
-    LengthMismatch,
+    NonFiniteColumn,
     ParseError,
     TooFewStations,
     ZeroBaseline,
@@ -140,11 +140,6 @@ class PeriodSchedule:
     periods: tuple[tuple[str, dt.date, dt.date], ...]
 
     def __post_init__(self):
-        labels = tuple(label for label, _, _ in self.periods)
-        if labels != PERIOD_LABELS:
-            raise ValueError(
-                f"schedule must contain exactly {PERIOD_LABELS} in order, got {labels}"
-            )
         prev_end = None
         for label, start, end in self.periods:
             if start > end:
@@ -162,50 +157,25 @@ class PeriodSchedule:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Mapping[str, str]]) -> "PeriodSchedule":
-        """Build from ``{label: {"start": iso-date, "end": iso-date}}``."""
-        periods = []
-        for label in PERIOD_LABELS:
-            if label not in mapping:
-                raise ValueError(f"schedule is missing period {label!r}")
-            window = mapping[label]
-            periods.append(
-                (
-                    label,
-                    dt.date.fromisoformat(window["start"]),
-                    dt.date.fromisoformat(window["end"]),
-                )
-            )
-        return cls(tuple(periods))
+        """Build from ``{label: {"start": iso-date, "end": iso-date}}``, whose
+        labels are exactly ``PERIOD_LABELS``, in any order."""
+        if set(mapping) != set(PERIOD_LABELS):
+            raise ValueError(f"schedule must name exactly the periods {list(PERIOD_LABELS)}, "
+                             f"got {list(mapping)}")
+        return cls(tuple((label, dt.date.fromisoformat(mapping[label]["start"]),
+                          dt.date.fromisoformat(mapping[label]["end"]))
+                         for label in PERIOD_LABELS))
 
     @classmethod
     def from_json(cls, text: str) -> "PeriodSchedule":
         return cls.from_mapping(json.loads(text))
 
 
-@dataclass(frozen=True)
-class TransitionTable:
-    """Per-station change rates for the three consecutive transitions."""
-
-    rates: Mapping[str, tuple[float, float, float]]
-
-    def __post_init__(self):
-        for station, row in self.rates.items():
-            if len(row) != len(TRANSITION_LABELS):
-                raise ValueError(f"station {station!r} must have exactly 3 rates")
-            if not all(np.isfinite(row)):
-                raise ValueError(f"station {station!r} has a non-finite rate")
-
-    def to_csv_text(self) -> str:
-        return _csv_text(
-            TRANSITIONS_CSV_HEADER, ((s, self.rates[s]) for s in sorted(self.rates))
-        )
-
-
 def _csv_field(text: str) -> str:
     """``text`` as a CSV field: quoted only when it holds a comma, a quote,
     ``\\r`` or ``\\n``, with its quotes doubled. Every CSV the package
     writes quotes its text fields by this one rule."""
-    if any(c in text for c in ',"\r\n'):
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -305,8 +275,6 @@ class SocioeconomicProfile:
     def __post_init__(self):
         if not 0.0 <= self.avg_education <= 8.0:
             raise InvalidProfile(f"avg_education {self.avg_education} outside [0, 8]")
-        if self.total_population <= 0:
-            raise InvalidProfile("total_population must be positive")
         if self.male_female_ratio <= 0:
             raise InvalidProfile("male_female_ratio must be positive")
         # census sums can overflow to inf, which makes the averages nan
@@ -322,18 +290,6 @@ class SocioeconomicProfile:
             self.total_population,
             self.male_female_ratio,
         )
-
-
-@dataclass(frozen=True)
-class StandardizedColumn:
-    """A z-scored column together with its source statistics."""
-
-    values: np.ndarray
-    source_mean: float
-    source_std: float
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -355,15 +311,6 @@ class AnalysisFrame:
     x_source_stds: np.ndarray
 
     def __post_init__(self):
-        if self.x.ndim != 2:
-            raise ValueError("x must be two-dimensional")
-        n, j = self.x.shape
-        if self.y.shape != (n,):
-            raise ValueError(f"y must have shape ({n},), got {self.y.shape}")
-        if len(self.station_ids) != n or len(self.predictor_names) != j:
-            raise ValueError("label lengths do not match matrix shape")
-        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
-            raise ValueError("frame contains non-finite entries")
         for arr in (self.x, self.y, self.x_source_means, self.x_source_stds):
             arr.setflags(write=False)
 
@@ -493,8 +440,10 @@ def _first_failure(station: str, schedule: PeriodSchedule, *per_year) -> Excepti
     )
 
 
-def standardize(column: Sequence[float], name: str = "column") -> StandardizedColumn:
-    """Z-score a column using its mean and population standard deviation.
+def standardize(column: Sequence[float],
+                name: str = "column") -> tuple[np.ndarray, float, float]:
+    """Z-score a column using its mean and population standard deviation;
+    return the z-scores with that mean and deviation.
 
     The population convention (divide by n) is used throughout the package:
     re-standardizing an already standardized column is then an identity up
@@ -502,18 +451,30 @@ def standardize(column: Sequence[float], name: str = "column") -> StandardizedCo
 
     Raises
     ------
+    NonFiniteColumn
+        If the mean or the deviation overflows (see ``_moments``).
     ZeroVariance
         If every value is identical (non-informative predictor); the
         message names the column as ``name``.
     """
     values = np.asarray(column, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("standardize needs a one-dimensional column of length >= 2")
-    mean = float(values.mean())
-    std = float(values.std())  # population: ddof=0
+    mean, std = _moments(values, name)
     if std == 0.0:
         raise ZeroVariance(f"{name} is constant; standardization undefined")
-    return StandardizedColumn((values - mean) / std, mean, std)
+    return (values - mean) / std, mean, std
+
+
+def _moments(values: np.ndarray, name: str) -> tuple[float, float]:
+    """The mean and population standard deviation of a column of finite
+    values, or ``NonFiniteColumn`` naming it as ``name`` when either
+    overflows a double (as it does for ``1e308, 1e308``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        std = float(values.std())  # population: ddof=0
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise NonFiniteColumn(f"{name} overflows: its mean or standard deviation "
+                              "is not a finite double")
+    return mean, std
 
 
 def avg_income(category_counts: Sequence[float]) -> float:
@@ -522,17 +483,15 @@ def avg_income(category_counts: Sequence[float]) -> float:
     Categories are indexed 0..9 in ascending income order and the index is
     used as the weight level.
     """
-    return _weighted_level(category_counts, expected=10, what="income categories")
+    return _weighted_level(category_counts, "income categories")
 
 
 def avg_education(level_counts: Sequence[float]) -> float:
     """Household-weighted mean education level over the nine levels 0..8."""
-    return _weighted_level(level_counts, expected=9, what="education levels")
+    return _weighted_level(level_counts, "education levels")
 
 
-def _weighted_level(counts: Sequence[float], expected: int, what: str) -> float:
-    if len(counts) != expected:
-        raise ValueError(f"expected {expected} {what}, got {len(counts)}")
+def _weighted_level(counts: Sequence[float], what: str) -> float:
     total = sum(counts)
     if total == 0:
         raise EmptyHouseholds(f"no households across {what}")
@@ -543,10 +502,6 @@ def avg_age(
     bracket_counts: Sequence[float], bracket_levels: Sequence[float]
 ) -> float:
     """Count-weighted mean of the age-bracket levels."""
-    if len(bracket_counts) != len(bracket_levels):
-        raise LengthMismatch(
-            f"{len(bracket_counts)} counts vs {len(bracket_levels)} levels"
-        )
     total = sum(bracket_counts)
     if total == 0:
         raise EmptyHouseholds("no population across age brackets")
@@ -571,12 +526,8 @@ def build_frame(
     raw_predictors = np.asarray(raw_predictors, dtype=float)
     j = raw_predictors.shape[1]
     names = PREDICTOR_NAMES[:j] if j <= len(PREDICTOR_NAMES) else tuple(f"x{k}" for k in range(j))
-    cols, means, stds = [], [], []
-    for name, column in zip(names, raw_predictors.T):
-        col = standardize(column, f"predictor {name!r}")
-        cols.append(col.values)
-        means.append(col.source_mean)
-        stds.append(col.source_std)
+    cols, means, stds = zip(*(standardize(column, f"predictor {name!r}")
+                              for name, column in zip(names, raw_predictors.T)))
     return AnalysisFrame(
         x=np.column_stack(cols),
         y=_response(y_raw, standardize_y, transition),
@@ -589,9 +540,15 @@ def build_frame(
 
 
 def _response(y_raw: np.ndarray, standardize_y: bool, transition: str) -> np.ndarray:
+    """The response column, z-scored when ``standardize_y``. A raw one must
+    also have a finite mean and deviation, as the fit centers it and sums
+    its squares."""
     y_raw = np.asarray(y_raw, dtype=float)
-    y = standardize(y_raw, f"response {transition!r}").values if standardize_y else y_raw
-    return np.array(y, dtype=float)
+    name = f"response {transition!r}"
+    if standardize_y:
+        return standardize(y_raw, name)[0]
+    _moments(y_raw, name)
+    return np.array(y_raw, dtype=float)
 
 
 def load_analysis_table(
@@ -694,3 +651,9 @@ def profiles_to_csv_text(profiles: Mapping[str, SocioeconomicProfile]) -> str:
     return _csv_text(
         PROFILES_CSV_HEADER, ((s, profiles[s].as_row()) for s in sorted(profiles))
     )
+
+
+def transitions_to_csv_text(rates: Mapping[str, Sequence[float]]) -> str:
+    """``transitions.csv``: each station's three change rates, stations
+    sorted, as ``transition_rates`` returns them."""
+    return _csv_text(TRANSITIONS_CSV_HEADER, ((s, rates[s]) for s in sorted(rates)))

@@ -28,10 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularProjection, TooManyComponents
+from .errors import InvalidModel, TooManyComponents
 from .frames import AnalysisFrame
 
 _RESIDUAL_FLOOR = 1e-12
+# On and below the diagonal, |PᵀW - I| stays under 1e-13 for every fit
+# measured; a model read from a document must stay within this of it
+_TRIANGULAR_TOLERANCE = 1e-6
 MODEL_VERSION = 2
 
 
@@ -63,8 +66,6 @@ class CoefficientVector:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.intercept) and np.isfinite(self.values).all()):
-            raise ValueError("coefficients must be finite")
         self.values.setflags(write=False)
 
 
@@ -160,8 +161,6 @@ def fit(frame: AnalysisFrame, n_components: int) -> PlsModel:
     """
     n, J = frame.x.shape
     limit = min(n - 1, J)
-    if n_components < 0:
-        raise ValueError("n_components must be >= 0")
     if n_components > limit:
         raise TooManyComponents(
             f"{n_components} factors requested but at most {limit} exist "
@@ -192,13 +191,10 @@ def fit(frame: AnalysisFrame, n_components: int) -> PlsModel:
 
 
 def _rotations(W: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """``W (PᵀW)⁻¹``: the weights expressed against the original matrix."""
-    if W.shape[1] == 0:
-        return W.copy()
-    try:
-        return W @ np.linalg.inv(P.T @ W)
-    except np.linalg.LinAlgError as exc:
-        raise SingularProjection("loading/weight product is singular") from exc
+    """``W (PᵀW)⁻¹``: the weights expressed against the original matrix.
+    PᵀW is unit upper triangular (``p_kᵀw_k = 1``, and each deflation sends
+    every earlier weight to zero), so the inverse exists."""
+    return W @ np.linalg.inv(P.T @ W)
 
 
 def _y_share_per_component(model: PlsModel) -> np.ndarray:
@@ -207,11 +203,9 @@ def _y_share_per_component(model: PlsModel) -> np.ndarray:
     Scores are mutually orthogonal, so the fitted response decomposes as
     a sum of per-factor terms plus the final residual; each factor's share
     is exactly the increment in R² when that factor joins the prediction.
+    A factor is only extracted while the response residual is nonzero, so
+    ``y_total_ss`` is positive whenever there is a factor.
     """
-    if model.n_components == 0:
-        return np.zeros(0)
-    if model.y_total_ss == 0:
-        return np.zeros(model.n_components)
     c = model.y_loadings
     per_factor = c * c * model.score_ss
     return per_factor / model.y_total_ss
@@ -222,10 +216,6 @@ def adjusted_r_square(r2: float, n: int, a: int) -> float:
 
     Returns 0.0 when the denominator degenerates (n - a - 1 <= 0).
     """
-    if not 0.0 <= r2 <= 1.0:
-        raise ValueError("r2 must lie in [0, 1]")
-    if n < 2 or a < 1:
-        raise ValueError("need n >= 2 and a >= 1")
     if n - a - 1 <= 0:
         return 0.0
     return 1.0 - (1.0 - r2) * (n - 1) / (n - a - 1)
@@ -257,14 +247,11 @@ def vip(model: PlsModel, a: int) -> np.ndarray:
     ``k <= a``, where ``ssy_k`` is factor k's share of response variance
     and the weight columns are taken from ``x_rotations`` (the weight
     matrix the score identity holds for) normalized to unit length. The
-    squared scores always sum to the number of predictors.
+    squared scores always sum to the number of predictors. Needs
+    1 <= a <= n_components; every factor's share is positive.
     """
-    if not 1 <= a <= model.n_components:
-        raise ValueError(f"a must be in 1..{model.n_components}, got {a}")
     ssy = _y_share_per_component(model)[:a]
     total = ssy.sum()
-    if total <= 0:
-        raise ValueError("no response variance explained; importance undefined")
     Wn = model.x_rotations[:, :a]
     Wn = Wn / np.linalg.norm(Wn, axis=0, keepdims=True)
     J = model.n_predictors
@@ -283,42 +270,60 @@ def coefficients(model: PlsModel, a: int | None = None) -> CoefficientVector:
 
     ``β = W (PᵀW)⁻¹ c`` restricted to the leading factors; the intercept
     is the stored response mean (predictors are standardized, so their
-    means contribute nothing).
+    means contribute nothing). Needs 0 <= a <= n_components.
     """
     if a is None:
         a = model.n_components
-    if not 0 <= a <= model.n_components:
-        raise ValueError(f"a must be in 0..{model.n_components}, got {a}")
-    if a == 0:
-        return CoefficientVector(model.y_mean, np.zeros(model.n_predictors))
     W = model.x_weights[:, :a]
     P = model.x_loadings[:, :a]
-    c = model.y_loadings[:a]
-    try:
-        beta = W @ np.linalg.solve(P.T @ W, c)
-    except np.linalg.LinAlgError as exc:
-        raise SingularProjection(
-            f"loading/weight projection singular at {a} factors"
-        ) from exc
+    beta = W @ np.linalg.solve(P.T @ W, model.y_loadings[:a])
     return CoefficientVector(model.y_mean, beta)
 
 
 def predict(model: PlsModel, x_new: np.ndarray, a: int | None = None) -> np.ndarray:
-    """Predict responses for raw-scale predictor rows.
+    """Predict responses for raw-scale predictor rows, an (n, J) array.
 
     New rows are placed on the training scale with the stored means and
     population stds, then pushed through ``coefficients(model, a)``.
     """
-    x_new = np.asarray(x_new, dtype=float)
-    if x_new.ndim == 1:
-        x_new = x_new.reshape(1, -1)
-    if x_new.ndim != 2 or x_new.shape[1] != model.n_predictors:
-        raise ShapeMismatch(
-            f"expected {model.n_predictors} predictor columns, got {x_new.shape}"
-        )
     coef = coefficients(model, a)
     x_std = (x_new - model.x_means) / model.x_stds
     return coef.intercept + x_std @ coef.values
+
+
+def check_model(model: PlsModel) -> None:
+    """Refuse, with ``InvalidModel``, a model read from a document that no
+    fit produces: an array shape that disagrees with the factor and
+    predictor counts, a number that is not finite, a sum of squares that
+    is not positive while there is a factor, a PᵀW that is not unit
+    upper triangular, or numbers whose diagnostics overflow. A model that
+    passes renders finite variance, importance and coefficient tables."""
+    J, A = len(model.predictor_names), model.n_components
+    vectors = {"y_loadings": (A,), "score_ss": (A,), "x_means": (J,), "x_stds": (J,)}
+    for name in _MATRIX_FIELDS:
+        shape = vectors.get(name, (J, A))
+        got = getattr(model, name).shape
+        if got != shape:
+            raise InvalidModel(f"{name} has shape {list(got)}, but {A} factors of {J} "
+                               f"predictors need {list(shape)}")
+    for name in _MATRIX_FIELDS + ("y_mean", "x_total_ss", "y_total_ss"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise InvalidModel(f"{name} holds a number that is not finite")
+    if A == 0:
+        return
+    for name in ("x_total_ss", "y_total_ss", "score_ss"):
+        if not np.all(getattr(model, name) > 0):
+            raise InvalidModel(f"{name} must be positive")
+    PtW = model.x_loadings.T @ model.x_weights
+    if np.abs(np.tril(PtW) - np.eye(A)).max() > _TRIANGULAR_TOLERANCE:
+        raise InvalidModel("x_loadings and x_weights do not give a unit upper "
+                           "triangular product")
+    with np.errstate(all="ignore"):
+        derived = [values for _, values in variance_explained(model).rows()]
+        derived += [vip_table(model), coefficients(model).values]
+    if not all(np.isfinite(values).all() for values in derived):
+        raise InvalidModel("its variance shares, importance scores or coefficients "
+                           "are not finite")
 
 
 # --- serialization -----------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IncompleteBundle, ShapeMismatch, StaleTable
+from .errors import IncompleteBundle, InvalidModel, ShapeMismatch, StaleTable
 from .frames import (
     TRANSITION_LABELS,
     AnalysisFrame,
@@ -27,6 +27,7 @@ from .frames import (
 from .plsr import (
     PlsModel,
     check_document,
+    check_model,
     coefficients,
     model_from_json,
     model_to_json,
@@ -71,7 +72,7 @@ class ReportBundle:
 
 
 def _table_rows(frame: AnalysisFrame, model: PlsModel, name: str) -> tuple[list[str], list[list[str]]]:
-    """Header and formatted body rows for one table."""
+    """Header and formatted body rows for one of ``TABLE_NAMES``."""
     A = model.n_components
     factor_cols = [f"factor_{a}" for a in range(1, A + 1)]
     if name == "variance_explained":
@@ -96,14 +97,12 @@ def _table_rows(frame: AnalysisFrame, model: PlsModel, name: str) -> tuple[list[
         table = vip_table(model)
         body = [[pname] + [format_cell(v) for v in table[j]]
                 for j, pname in enumerate(frame.predictor_names)]
-    elif name == "coefficients":
+    else:  # coefficients
         header = ["variable", "coefficient"]
         coef = coefficients(model)
         body = [["constant", format_cell(coef.intercept)]]
         body += [[pname, format_cell(coef.values[j])]
                  for j, pname in enumerate(frame.predictor_names)]
-    else:
-        raise ValueError(f"unknown table {name!r}")
     return header, body
 
 
@@ -117,13 +116,12 @@ def _to_markdown(header: list[str], body: list[list[str]]) -> str:
 
 
 def render_tables(bundle: ReportBundle, fmt: str = "csv") -> dict[str, str]:
-    """Render the five diagnostic tables per period.
+    """Render the five diagnostic tables per period, as ``csv`` or
+    ``markdown``.
 
     Returns relative path -> document text, laid out as
     ``reports/<period>/<table>.<fmt>``.
     """
-    if fmt not in ("csv", "markdown"):
-        raise ValueError(f"unknown format {fmt!r}")
     ext = "csv" if fmt == "csv" else "md"
     docs: dict[str, str] = {}
     for period in TRANSITION_LABELS:
@@ -139,16 +137,14 @@ FIGURE_HEADER = "station_id,predictor_value,change_rate"
 
 
 def export_figure_data(frames: Mapping[str, AnalysisFrame]) -> dict[str, str]:
-    """One scatter CSV per (predictor, period): value vs change rate.
+    """One scatter CSV per (predictor, period): value vs change rate, for
+    a frame of every period.
 
     Each column is formatted once: the station ids once per distinct id
     list, each predictor column once per matrix object (frames built by
     one ``frames_from_analysis_table`` call share theirs), and each
     period's change rates once.
     """
-    missing = [t for t in TRANSITION_LABELS if t not in frames]
-    if missing:
-        raise IncompleteBundle(f"figure export is missing transitions: {missing}")
     docs: dict[str, str] = {}
     stations: dict[tuple[str, ...], list[str]] = {}
     formatted: list[tuple[np.ndarray, list[list[str]]]] = []
@@ -210,7 +206,8 @@ def bundle_to_json(bundle: ReportBundle, table: str, table_text: str,
 def bundle_from_json(text: str) -> ReportBundle:
     """Build the frames again from the table an analysis document names and
     pair them with its models; ``StaleTable`` if the table is gone or its
-    text is not the text `analyze` read."""
+    text is not the text `analyze` read, ``InvalidModel`` naming the period
+    if a model's numbers are not ones a fit gives."""
     doc = json.loads(text)
     check_document(doc, "bikepls-analysis", BUNDLE_VERSION)
     table = doc["table"]
@@ -227,5 +224,12 @@ def bundle_from_json(text: str) -> ReportBundle:
         raise StaleTable(f"analysis table {table} has changed since `analyze` read it; "
                          "re-run `analyze`")
     frame_map = frames_from_analysis_table(table_text, doc["standardize_y"])
-    return ReportBundle({period: (frame_map[period], model_from_json(json.dumps(entry["model"])))
-                         for period, entry in doc["periods"].items()})
+    periods = {}
+    for period, entry in doc["periods"].items():
+        model = model_from_json(json.dumps(entry["model"]))
+        try:
+            check_model(model)
+        except InvalidModel as exc:
+            raise InvalidModel(f"{period} model: {exc}") from None
+        periods[period] = (frame_map[period], model)
+    return ReportBundle(periods)

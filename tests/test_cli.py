@@ -1,15 +1,20 @@
 import contextlib
 import csv
 import datetime as dt
+import http.server
 import io
 import json
 import os
 import random
 import re
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
+import threading
+import urllib.parse
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +25,7 @@ from hypothesis import strategies as st
 
 from bikepls import ingest
 from bikepls.cli import main
-from bikepls.frames import TRANSITION_LABELS, load_analysis_table
+from bikepls.frames import ANALYSIS_TABLE_HEADER, TRANSITION_LABELS, load_analysis_table
 from conftest import FIXTURES, REPO_ROOT
 
 
@@ -33,6 +38,12 @@ def document_tree(out: Path) -> dict[str, bytes]:
     return {str(p.relative_to(out)): p.read_bytes()
             for sub in ("reports", "figures") for p in sorted((out / sub).rglob("*"))
             if p.is_file()}
+
+
+def zero_values(text):
+    """A ``county,label,value`` table with every value 0."""
+    lines = text.splitlines()
+    return "\n".join(lines[:1] + [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]]) + "\n"
 
 
 class TestDerive:
@@ -101,6 +112,21 @@ class TestDerive:
                            str(tmp_path / "out"), "derive", "--stations", str(stations))
             assert code == 2
             assert f"stations line 4: {message}" in capsys.readouterr().err
+
+    def test_window_ending_on_feb_29_ends_on_feb_28_in_2018(self, demo_config, tmp_path):
+        # no count falls on 2020-02-29, so both schedules give the same rates
+        outputs = []
+        for last in ("2020-02-29", "2020-02-28"):
+            schedule = json.loads((FIXTURES / "schedule.json").read_text())
+            schedule["Pre-Pandemic"]["end"] = last
+            schedule["Pandemic"]["start"] = "2020-03-01"
+            path = tmp_path / f"schedule_{last}.json"
+            path.write_text(json.dumps(schedule))
+            out = tmp_path / last
+            assert run_cli("--config", str(demo_config), "--output-dir", str(out), "derive",
+                           "--schedule", str(path)) == 0
+            outputs.append((out / "transitions.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_schedule_across_new_year_exits_2(self, demo_config, tmp_path, capsys):
         schedule = json.loads((FIXTURES / "schedule.json").read_text())
@@ -209,20 +235,56 @@ class TestDerive:
         ]
         assert (out / "analysis_table.csv").read_text().count("\n") == 1
 
-    def test_census_sum_overflow_fails_per_station(self, demo_config, tmp_path):
+    @pytest.mark.parametrize("name, label, error", [
+        ("acs_income.csv", "10k_to_15k", "avg_income nan is not finite"),
+        ("acs_education.csv", "no_schooling", '"avg_education nan outside [0, 8]"'),
+    ], ids=["income", "education"])
+    def test_census_sum_overflow_fails_per_station(self, demo_config, tmp_path, name, label,
+                                                   error):
         # each cell is finite, but st_platte's catchment sums two of them to inf
-        rows = (FIXTURES / "acs_income.csv").read_text().splitlines()
-        income = tmp_path / "acs_income.csv"
-        income.write_text("\n".join(
-            row.rsplit(",", 1)[0] + ",1e308" if ",10k_to_15k," in row else row
+        rows = (FIXTURES / name).read_text().splitlines()
+        table = tmp_path / name
+        table.write_text("\n".join(
+            row.rsplit(",", 1)[0] + ",1e308" if f",{label}," in row else row
             for row in rows) + "\n")
         out = tmp_path / "out"
         assert run_cli("--config", str(demo_config), "--output-dir", str(out),
-                       "derive", "--acs-income", str(income)) == 2
+                       "derive", "--" + table.stem.replace("_", "-"), str(table)) == 2
         assert (out / "derive_errors.csv").read_text().splitlines()[1:] == [
-            "st_platte,InvalidProfile,avg_income nan is not finite"]
+            f"st_platte,InvalidProfile,{error}"]
         ids, _, _ = load_analysis_table((out / "analysis_table.csv").read_text())
         assert ids == ("st_cherry",)
+
+    @pytest.mark.parametrize("name, edit, error", [
+        ("population.csv", lambda text: text.replace(",50000", ",0").replace(",62000", ",0"),
+         "ZeroFemale,male/female ratio undefined: zero female count"),
+        ("acs_income.csv", zero_values,
+         "EmptyHouseholds,no households across income categories"),
+        ("acs_education.csv", zero_values,
+         "EmptyHouseholds,no households across education levels"),
+        ("acs_age.csv", zero_values,
+         "EmptyHouseholds,no population across age brackets"),
+    ], ids=["no-women", "no-income", "no-education", "no-age"])
+    def test_empty_census_fails_per_station(self, demo_config, tmp_path, name, edit, error):
+        path = tmp_path / name
+        path.write_text(edit((FIXTURES / name).read_text()))
+        out = tmp_path / "out"
+        assert run_cli("--config", str(demo_config), "--output-dir", str(out), "derive",
+                       "--" + path.stem.replace("_", "-"), str(path)) == 2
+        assert (out / "derive_errors.csv").read_text().splitlines()[1:] == [
+            f"st_cherry,{error}", f"st_platte,{error}"]
+
+    def test_zero_2020_window_fails_per_station(self, demo_config, tmp_path):
+        counts = tmp_path / "counts_2020.csv"
+        counts.write_text((FIXTURES / "counts_2020.csv").read_text()
+                          .replace("2020-03-20,150", "2020-03-20,0")
+                          .replace("2020-04-15,180", "2020-04-15,0"))
+        out = tmp_path / "out"
+        assert run_cli("--config", str(demo_config), "--output-dir", str(out), "derive",
+                       "--counts-csv", str(FIXTURES / "counts_2018.csv"), str(counts)) == 2
+        assert (out / "derive_errors.csv").read_text().splitlines()[1:] == [
+            "st_cherry,ZeroBaseline,year-over-year ratio for 'Pandemic' is zero; "
+            "transition rate undefined"]
 
     def test_error_rows_have_three_fields(self, demo_config, tmp_path):
         # county_a loses one income category; its message contains a comma
@@ -244,6 +306,199 @@ class TestDerive:
         assert all(len(row) == 3 for row in parsed)
         assert {row[1] for row in parsed[1:]} == {"CategoryCountMismatch"}
         assert all("9 categories, expected 10" in row[2] for row in parsed[1:])
+
+
+def _set_geometry(feature, kind, *rings):
+    feature["geometry"] = {"type": kind, "coordinates": list(rings)}
+
+
+SQUARE = [[-105.05, 39.60], [-104.80, 39.60], [-104.80, 39.74], [-105.05, 39.74]]
+PERIODS = "['Pre-Pandemic', 'Pandemic', 'Transition', 'Normalization']"
+
+
+def _edit_model(field, edit):
+    """Edit one field of the first period's model in an analysis document."""
+    def apply(doc):
+        model = doc["periods"]["pre_pandemic_to_pandemic"]["model"]
+        model[field] = edit(model[field])
+        return doc
+    return apply
+
+
+class TestRefusedInputs:
+    """Each input file a command reads, and each setting, is refused by
+    name (exit 2) before anything is written."""
+
+    @staticmethod
+    def refused(capsys, out, *args):
+        code = run_cli("--output-dir", str(out), *args)
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s["Pre-Pandemic"].update(start="2020-03-15", end="2020-01-01"),
+         "period 'Pre-Pandemic' has start after end"),
+        (lambda s: s["Pandemic"].update(start="2020-03-10"),
+         "period 'Pandemic' overlaps the previous period"),
+        (lambda s: s.pop("Normalization"),
+         f"schedule must name exactly the periods {PERIODS}, "
+         "got ['Pre-Pandemic', 'Pandemic', 'Transition']"),
+        (lambda s: s.update(Recovery={"start": "2021-01-01", "end": "2021-03-01"}),
+         f"schedule must name exactly the periods {PERIODS}, "
+         "got ['Pre-Pandemic', 'Pandemic', 'Transition', 'Normalization', 'Recovery']"),
+    ], ids=["start-after-end", "overlap", "missing-label", "extra-label"])
+    def test_schedule(self, demo_config, tmp_path, capsys, edit, message):
+        schedule = json.loads((FIXTURES / "schedule.json").read_text())
+        edit(schedule)
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(schedule))
+        assert self.refused(capsys, tmp_path / "out", "--config", str(demo_config), "derive",
+                            "--schedule", str(path)) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("{stations}\nst_far,91.0,-105.0,Far\n",
+         "stations line 5: latitude 91.0 outside [-90, 90]"),
+        ("{stations}st_far,39.7,181.0,Far\n",
+         "stations line 4: longitude 181.0 outside [-180, 180]"),
+        ("{stations}st_far,39.7,-105.0,{long}\n",
+         f"stations line 4: field larger than field limit ({csv.field_size_limit()})"),
+        ("station_id,latitude,longitude,name\n", "need at least one station and one polygon"),
+    ], ids=["latitude-after-blank-line", "longitude", "long-field", "header-only"])
+    def test_stations(self, demo_config, tmp_path, capsys, text, message):
+        path = tmp_path / "stations.csv"
+        path.write_text(text.format(stations=(FIXTURES / "stations.csv").read_text(),
+                                    long="x" * (csv.field_size_limit() + 1)))
+        assert self.refused(capsys, tmp_path / "out", "--config", str(demo_config), "derive",
+                            "--stations", str(path)) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc, f: doc.update(type="Feature"), "expected a GeoJSON FeatureCollection"),
+        (lambda doc, f: f.update(properties={}),
+         "polygon feature is missing a 'name' property"),
+        (lambda doc, f: _set_geometry(f, "MultiPolygon", [SQUARE]),
+         "county 'county_a': only Polygon geometry is supported"),
+        (lambda doc, f: _set_geometry(f, "Polygon", SQUARE, SQUARE[::-1]),
+         "county 'county_a' has interior rings; holes are not supported"),
+        (lambda doc, f: _set_geometry(f, "Polygon", SQUARE[:2] + SQUARE[:1]),
+         "county 'county_a' has 2 vertices"),
+        (lambda doc, f: _set_geometry(f, "Polygon", SQUARE + SQUARE[:1] * 2),
+         "ring closure is implicit; drop the repeated vertex"),
+    ], ids=["not-a-collection", "no-name", "multipolygon", "holes", "two-vertices",
+            "closed-twice"])
+    def test_counties(self, demo_config, tmp_path, capsys, edit, message):
+        doc = json.loads((FIXTURES / "counties.geojson").read_text())
+        edit(doc, doc["features"][0])
+        path = tmp_path / "counties.geojson"
+        path.write_text(json.dumps(doc))
+        assert self.refused(capsys, tmp_path / "out", "--config", str(demo_config), "derive",
+                            "--counties", str(path)) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("data, message", [
+        (None, "counts file not found: {path}"),
+        (b"station_id,date,count\nst_cherry,2018-01-10,1\xff\n",
+         "{path}: counts payload is not UTF-8: 'utf-8' codec can't decode byte 0xff in "
+         "position 44: invalid start byte"),
+        (b"", "{path}: line 1: empty counts payload"),
+        (b"station,date,count\nst_cherry,2018-01-10,1\n",
+         "{path}: line 1: bad counts header ('station', 'date', 'count')"),
+        (b"station_id,date,count\nst_cherry,2018-01-10,1\nst_cherry,2018-01-10,2\n",
+         "{path}: line 3: duplicate observation for (st_cherry, 2018-01-10)"),
+        (b"station_id,date,count\nst_cherry,2018-01-10,1\nst_cherry,2018-01-11,x",
+         "{path}: line 3: bad count 'x'"),
+        (b'"station_id",date,count\nst_cherry,2018-01-10,1\nst_cherry,2018-01-11\n',
+         "{path}: line 3: expected 3 fields, got 2"),
+    ], ids=["missing", "not-utf-8", "empty", "bad-header", "duplicate", "no-final-newline",
+            "quoted-two-fields"])
+    def test_counts(self, demo_config, tmp_path, capsys, data, message):
+        path = tmp_path / "counts.csv"
+        if data is not None:
+            path.write_bytes(data)
+        assert self.refused(capsys, tmp_path / "out", "--config", str(demo_config), "derive",
+                            "--counts-csv", str(path)) == \
+            (2, f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (("derive", "--radius-m", "0"), "radius must be positive"),
+        (("derive", "--counts-csv"), "counts_csv is required for derive"),
+        (("fetch", "--counts-url-template", ""), "counts_url_template is required for fetch"),
+        (("fetch", "--start", "2020-12-31", "--end", "2020-01-01"),
+         "range start is after range end"),
+    ], ids=["radius", "no-counts", "no-url-template", "start-after-end"])
+    def test_settings(self, demo_config, tmp_path, capsys, args, message):
+        assert self.refused(capsys, tmp_path / "out", "--config", str(demo_config),
+                            *args) == (2, f"error: {message}\n")
+
+    def test_required_setting(self, tmp_path, capsys):
+        assert self.refused(capsys, tmp_path / "out", "fetch") == (
+            2, "error: stations is required (set it in the config or via a flag)\n")
+
+    def test_response_without_the_station(self, demo_config, tmp_path, capsys):
+        responses = tmp_path / "responses"
+        shutil.copytree(FIXTURES / "responses", responses)
+        (responses / "st_cherry_2020.csv").write_bytes(
+            (FIXTURES / "responses/st_platte_2020.csv").read_bytes())
+        assert self.refused(capsys, tmp_path / "out", "--config", str(demo_config), "fetch",
+                            "--cache-dir", str(tmp_path / "cache"), "--fixtures",
+                            str(responses)) == \
+            (2, "error: response contains no rows for station 'st_cherry'\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {"format": "bikepls-model", "version": doc["version"]},
+         "not a bikepls-analysis document"),
+        (lambda doc: doc["periods"].pop("pandemic_to_transition") and doc,
+         "bundle is missing transitions: ['pandemic_to_transition']"),
+        (_edit_model("y_total_ss", lambda _: "0"),
+         "{path}: pre_pandemic_to_pandemic model: y_total_ss must be positive"),
+        (_edit_model("score_ss", lambda m: {**m, "data": ["-1"] + m["data"][1:]}),
+         "{path}: pre_pandemic_to_pandemic model: score_ss must be positive"),
+        (_edit_model("y_loadings", lambda m: {**m, "data": ["nan"] + m["data"][1:]}),
+         "{path}: pre_pandemic_to_pandemic model: y_loadings holds a number that is not "
+         "finite"),
+        (_edit_model("x_loadings", lambda m: {**m, "data": ["0"] * len(m["data"])}),
+         "{path}: pre_pandemic_to_pandemic model: x_loadings and x_weights do not give a "
+         "unit upper triangular product"),
+        (_edit_model("score_ss", lambda m: {"shape": [1], "data": m["data"][:1]}),
+         "{path}: pre_pandemic_to_pandemic model: score_ss has shape [1], but 3 factors of "
+         "5 predictors need [3]"),
+        (_edit_model("y_loadings", lambda m: {**m, "data": ["1e200"] + m["data"][1:]}),
+         "{path}: pre_pandemic_to_pandemic model: its variance shares, importance scores "
+         "or coefficients are not finite"),
+    ], ids=["another-format", "period-removed", "y-total-ss-zero", "negative-score-ss",
+            "nan-loading",
+            "singular-projection", "wrong-shape", "overflowing-loading"])
+    def test_analysis_document(self, tmp_path, capsys, edit, message):
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", str(out), "analyze") == 0
+        path = tmp_path / "analysis.json"
+        path.write_text(json.dumps(edit(json.loads((out / "analysis.json").read_text()))))
+        shutil.rmtree(out)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.refused(capsys, out, "report", "--input", str(path)) == \
+                (2, f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("column, flags", [
+        ("avg_income", ("--standardize-y",)),
+        ("pre_pandemic_to_pandemic", ()),
+        ("pre_pandemic_to_pandemic", ("--standardize-y",)),
+    ])
+    def test_column_whose_statistics_overflow(self, table1_text, tmp_path, capsys, column,
+                                              flags):
+        # every cell is finite, but the column's mean is not
+        rows = [line.split(",") for line in table1_text.strip().splitlines()]
+        k = rows[0].index(column)
+        for row, value in zip(rows[1:], ("1e308", "1e308", "-1e308", "1e308")):
+            row[k] = value
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(map(",".join, rows)) + "\n")
+        kind = "predictor" if column == "avg_income" else "response"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.refused(capsys, tmp_path / "out", "analyze", "--input", str(table),
+                                *flags) == \
+                (2, f"error: {table}: {kind} '{column}' overflows: its mean or standard "
+                    "deviation is not a finite double\n")
 
 
 def write_region(directory, rng, side=4):
@@ -529,6 +784,7 @@ class TestFetch:
     @pytest.mark.parametrize("flag, value, field", [
         ("--parallelism", "0", "parallelism"),
         ("--retries", "-1", "retries"),
+        ("--timeout-s", "0", "timeout"),
     ])
     def test_source_config_checks_exit_2(self, demo_config, tmp_path, capsys, flag, value,
                                          field):
@@ -536,6 +792,66 @@ class TestFetch:
                        "fetch", "--cache-dir", str(tmp_path / "cache"), flag, value)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not (tmp_path / "out").exists()
+
+    @contextlib.contextmanager
+    def serve_fixtures(self):
+        """An HTTP server on a free loopback port that answers each fixture
+        URL's path and query with its recorded response; yields the URL
+        template that reaches it."""
+        manifest = json.loads((FIXTURES / "responses/manifest.json").read_text())
+        bodies = {}
+        for url, name in manifest.items():
+            parts = urllib.parse.urlsplit(url)
+            bodies[f"{parts.path}?{parts.query}"] = (FIXTURES / "responses" / name).read_bytes()
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                body = bodies.get(self.path)
+                self.send_response(200 if body is not None else 404)
+                self.end_headers()
+                self.wfile.write(body or b"")
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            yield (f"http://127.0.0.1:{server.server_address[1]}"
+                   "/api?station={station}&start={start}&end={end}")
+        finally:
+            server.shutdown()
+            thread.join()
+            server.server_close()
+
+    def test_live_transport_matches_fixtures(self, demo_config, tmp_path, monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")
+        assert run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "fixtures"),
+                       "fetch", "--cache-dir", str(tmp_path / "cache-fixtures")) == 0
+        with self.serve_fixtures() as template:
+            assert run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "live"),
+                           "fetch", "--cache-dir", str(tmp_path / "cache-live"),
+                           "--transport", "live", "--counts-url-template", template) == 0
+        assert (tmp_path / "live/counts.csv").read_bytes() == \
+            (tmp_path / "fixtures/counts.csv").read_bytes()
+
+    def test_live_transport_closed_port_is_internal_error(self, demo_config, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")
+        with socket.socket() as sock:  # a port that was free and is closed again
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        url = f"http://127.0.0.1:{port}/api?station=st_cherry&start=2020-01-01&end=2020-12-31"
+        code = run_cli("--config", str(demo_config), "--output-dir", str(tmp_path / "out"),
+                       "fetch", "--cache-dir", str(tmp_path / "cache"), "--retries", "0",
+                       "--transport", "live", "--counts-url-template",
+                       f"http://127.0.0.1:{port}/api?station={{station}}&start={{start}}"
+                       "&end={end}")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: GET {url} failed after 1 attempts: GET {url} failed: ")
         assert not (tmp_path / "out").exists()
 
 
@@ -604,6 +920,28 @@ class TestAnalyze:
                                                      "cumulative_y_variance": 0.0}
         assert summary["pre_pandemic_to_pandemic"]["factors"] == 3
         assert (out / "analysis.json").exists()
+
+    def test_response_orthogonal_to_every_predictor_fits_no_factor(self, tmp_path, capsys):
+        # centered, the first response is (1, 1, -1, -1); every predictor
+        # column is centered and orthogonal to it, so Xᵀ(y - ȳ) is zero
+        table = tmp_path / "table.csv"
+        table.write_text(",".join(ANALYSIS_TABLE_HEADER) + "\n" + "".join(
+            f"s{k},{row}\n" for k, row in enumerate([
+                "2.0,1.0,0.9,1,1,2,0,3", "2.0,1.5,1.1,-1,-1,-2,0,-3",
+                "0.0,0.5,1.3,1,-1,0,2,1", "0.0,2.0,0.7,-1,1,0,-2,-1"])))
+        out, again = tmp_path / "out", tmp_path / "again"
+        assert run_cli("--output-dir", str(out), "--json", "analyze",
+                       "--input", str(table)) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["pre_pandemic_to_pandemic"] == {"factors": 0,
+                                                       "cumulative_y_variance": 0.0}
+        # the zero-factor model reads back from analysis.json and renders the same
+        assert run_cli("--output-dir", str(again), "report",
+                       "--input", str(out / "analysis.json")) == 0
+        rendered = [path for path in again.rglob("*") if path.is_file()]
+        assert rendered
+        for path in rendered:
+            assert path.read_bytes() == (out / path.relative_to(again)).read_bytes()
 
     @pytest.mark.parametrize("keep", [0, 1])
     def test_too_few_stations_names_table_and_count(self, table1_text, tmp_path, capsys,

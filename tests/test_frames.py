@@ -15,7 +15,6 @@ from bikepls.errors import (
     EmptyHouseholds,
     EmptyPeriod,
     InvalidProfile,
-    LengthMismatch,
     ParseError,
     ZeroBaseline,
     ZeroFemale,
@@ -30,7 +29,6 @@ from bikepls.frames import (
     Counts,
     PeriodSchedule,
     SocioeconomicProfile,
-    TransitionTable,
     analysis_table_to_csv_text,
     avg_age,
     avg_education,
@@ -45,6 +43,7 @@ from bikepls.frames import (
     profiles_to_csv_text,
     standardize,
     transition_rates,
+    transitions_to_csv_text,
 )
 from bikepls.ingest import parse_counts_csv
 from conftest import SPECIAL_VALUES
@@ -342,20 +341,16 @@ class TestTransitionRatesAgainstOracle:
 
 class TestStandardize:
     def test_hand_computed(self):
-        col = standardize([1, 2, 3, 4])
-        assert col.source_mean == 2.5
-        assert col.source_std == pytest.approx(1.1180, abs=1e-4)
-        assert col.values == pytest.approx(
+        values, mean, std = standardize([1, 2, 3, 4])
+        assert mean == 2.5
+        assert std == pytest.approx(1.1180, abs=1e-4)
+        assert values == pytest.approx(
             [-1.3416, -0.4472, 0.4472, 1.3416], abs=1e-4
         )
 
     def test_constant_column(self):
         with pytest.raises(ZeroVariance, match="^column is constant; standardization undefined$"):
             standardize([5, 5, 5])
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            standardize([1.0])
 
     def test_population_convention_on_reference_income_column(self):
         # The bundled table's columns are already z-scored under the
@@ -367,14 +362,14 @@ class TestStandardize:
     def test_idempotent_on_standardized_columns(self, rng):
         for _ in range(50):
             raw = rng.normal(size=int(rng.integers(3, 20))) * 7 + 3
-            once = standardize(raw).values
-            twice = standardize(once).values
+            once, _, _ = standardize(raw)
+            twice, _, _ = standardize(once)
             assert np.abs(twice - once).max() < 1e-9
 
     def test_output_moments(self, rng):
         for _ in range(50):
             raw = rng.normal(size=int(rng.integers(2, 30))) * rng.uniform(0.1, 50)
-            z = standardize(raw).values
+            z, _, _ = standardize(raw)
             assert abs(z.mean()) < 1e-9
             assert abs(z.var() - 1.0) < 1e-9
 
@@ -393,10 +388,6 @@ class TestWeightedAverages:
     def test_income_empty(self):
         with pytest.raises(EmptyHouseholds):
             avg_income([0] * 10)
-
-    def test_income_wrong_length(self):
-        with pytest.raises(ValueError):
-            avg_income([1] * 9)
 
     def test_education_top_level(self):
         assert avg_education([0] * 8 + [50]) == 8.0
@@ -423,10 +414,6 @@ class TestWeightedAverages:
 
     def test_age_weighted(self):
         assert avg_age([1, 2, 1], [20, 40, 60]) == 40
-
-    def test_age_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            avg_age([1, 2], [20, 40, 60])
 
     def test_age_empty(self):
         with pytest.raises(EmptyHouseholds):
@@ -510,21 +497,19 @@ PROFILES = _profiles_for(
         "d": (5.0, 6.0, 31.0, 140000, 0.94),
     }
 )
-RATES = TransitionTable(
-    {
-        "a": (1.1, 0.9, 1.2),
-        "b": (1.3, 0.8, 1.1),
-        "c": (0.9, 1.2, 0.7),
-        "d": (1.0, 1.0, 1.4),
-    }
-)
+RATES = {
+    "a": (1.1, 0.9, 1.2),
+    "b": (1.3, 0.8, 1.1),
+    "c": (0.9, 1.2, 0.7),
+    "d": (1.0, 1.0, 1.4),
+}
 
 
 def table_text(profiles, rates, order=None):
     """An analysis table of ``profiles`` and ``rates``, rows in ``order``."""
     ids = sorted(profiles) if order is None else order
     return analysis_table_to_csv_text(
-        ids, [rates.rates[s] for s in ids], [profiles[s].as_row() for s in ids]
+        ids, [rates[s] for s in ids], [profiles[s].as_row() for s in ids]
     )
 
 
@@ -572,12 +557,12 @@ class TestAssembleFrame:
     def test_identical_stations_zero_variance(self):
         twins = _profiles_for({"a": (4.2, 5.1, 35.2, 98000, 0.96),
                                "b": (4.2, 5.1, 35.2, 98000, 0.96)})
-        rates = TransitionTable({"a": (1.0, 1.0, 1.0), "b": (1.0, 1.0, 1.0)})
+        rates = {"a": (1.0, 1.0, 1.0), "b": (1.0, 1.0, 1.0)}
         with pytest.raises(ZeroVariance, match="^predictor 'avg_income' is constant; "):
             frames_from_analysis_table(table_text(twins, rates))
 
     def test_constant_response_named_when_standardized(self):
-        rates = TransitionTable({s: (1.0, 2.0 + k, 3.0) for k, s in enumerate(sorted(PROFILES))})
+        rates = {s: (1.0, 2.0 + k, 3.0) for k, s in enumerate(sorted(PROFILES))}
         text = table_text(PROFILES, rates)
         assert frames_from_analysis_table(text)["pre_pandemic_to_pandemic"].y.tolist() == \
             [1.0] * len(PROFILES)
@@ -811,8 +796,8 @@ class TestCsvRoundTrips:
 
     def test_transitions(self):
         values = np.resize(SPECIAL_VALUES, (4, 3))
-        rates = TransitionTable({s: tuple(row) for s, row in zip("dcba", values.tolist())})
-        rows = list(csv.reader(io.StringIO(rates.to_csv_text())))
+        rates = {s: tuple(row) for s, row in zip("dcba", values.tolist())}
+        rows = list(csv.reader(io.StringIO(transitions_to_csv_text(rates))))
         assert tuple(rows[0]) == ("station_id",) + TRANSITION_LABELS
         assert [row[0] for row in rows[1:]] == ["a", "b", "c", "d"]
         back = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
@@ -847,10 +832,6 @@ class TestProfileValidation:
     def test_education_range(self):
         with pytest.raises(InvalidProfile, match=r"^avg_education 9\.5 outside \[0, 8\]$"):
             SocioeconomicProfile(4.0, 9.5, 30.0, 1000, 1.0)
-
-    def test_population_positive(self):
-        with pytest.raises(InvalidProfile, match="^total_population must be positive$"):
-            SocioeconomicProfile(4.0, 5.0, 30.0, 0, 1.0)
 
     def test_ratio_positive(self):
         with pytest.raises(InvalidProfile, match="^male_female_ratio must be positive$"):

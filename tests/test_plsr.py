@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from bikepls import plsr
-from bikepls.errors import ShapeMismatch, TooManyComponents
+from bikepls.errors import TooManyComponents
 from bikepls.frames import TRANSITION_LABELS, build_frame
 from bikepls.plsr import (
     adjusted_r_square,
+    check_model,
     coefficients,
     extract_factors,
     fit,
@@ -306,6 +307,19 @@ class TestVarianceExplained:
             assert (np.diff(report.cumulative_x) >= -1e-12).all()
             assert (np.diff(report.cumulative_y) >= -1e-12).all()
 
+    def test_adjusted_r2_of_every_factor(self, rng):
+        # one entry per factor, each the closed form at that factor count
+        for _ in range(20):
+            frame = random_frame(rng, n=int(rng.integers(8, 20)), j=int(rng.integers(2, 7)))
+            model = fit(frame, frame.n_predictors)
+            assert model.n_components == frame.n_predictors
+            report = variance_explained(model)
+            assert len(report.adjusted_r2) == model.n_components
+            n = frame.n_samples
+            for a, (r2, adjusted) in enumerate(zip(report.cumulative_y, report.adjusted_r2), 1):
+                expected = 1 - (1 - min(r2, 1.0)) * (n - 1) / (n - a - 1)
+                assert adjusted == pytest.approx(expected, rel=1e-12)
+
 
 class TestAdjustedRSquare:
     @pytest.mark.parametrize(
@@ -333,14 +347,6 @@ class TestAdjustedRSquare:
             r2 = float(rng.uniform())
             expected = 1 - (1 - r2) * (n - 1) / (n - a - 1)
             assert adjusted_r_square(r2, n, a) == pytest.approx(expected, rel=1e-12)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            adjusted_r_square(1.5, 4, 1)
-        with pytest.raises(ValueError):
-            adjusted_r_square(0.5, 1, 1)
-        with pytest.raises(ValueError):
-            adjusted_r_square(0.5, 4, 0)
 
 
 class TestVip:
@@ -405,12 +411,6 @@ class TestVip:
         outlier_diff = abs(vip(model, 3)[4] - ref[4, 2])
         assert 0.03 < outlier_diff < 0.05
 
-    def test_bounds(self, table1_models):
-        with pytest.raises(ValueError):
-            vip(table1_models["pre_pandemic_to_pandemic"], 0)
-        with pytest.raises(ValueError):
-            vip(table1_models["pre_pandemic_to_pandemic"], 4)
-
     def test_table_stacks_columns(self, table1_models):
         model = table1_models["pandemic_to_transition"]
         table = vip_table(model)
@@ -438,10 +438,8 @@ class TestCoefficients:
                 table1_frames[label].y.mean(), abs=1e-12
             )
 
-    def test_bounds(self, table1_models):
+    def test_zero_factors(self, table1_models):
         model = table1_models["pre_pandemic_to_pandemic"]
-        with pytest.raises(ValueError):
-            coefficients(model, 5)
         zero = coefficients(model, 0)
         assert zero.values == pytest.approx(np.zeros(5))
 
@@ -458,10 +456,6 @@ class TestPredict:
         model = table1_models["pandemic_to_transition"]
         got = predict(model, model.x_means.reshape(1, -1), 3)
         assert got[0] == pytest.approx(model.y_mean, abs=1e-12)
-
-    def test_shape_mismatch(self, table1_models):
-        with pytest.raises(ShapeMismatch):
-            predict(table1_models["pandemic_to_transition"], np.zeros((2, 4)))
 
 
 class TestSerialization:
@@ -486,6 +480,13 @@ class TestSerialization:
         frame = table1_frames[label]
         raw = frame.x * model.x_stds + model.x_means
         assert np.array_equal(predict(model, raw), predict(back, raw))
+
+    def test_every_fit_passes_the_document_check(self, rng):
+        for _ in range(200):
+            frame = random_frame(rng)
+            model = model_from_json(model_to_json(fit(frame, min(frame.n_samples - 1,
+                                                                  frame.n_predictors))))
+            check_model(model)
 
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):

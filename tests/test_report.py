@@ -141,10 +141,6 @@ class TestRenderTables:
             ]
             assert md_rows == csv_rows
 
-    def test_unknown_format(self, bundle):
-        with pytest.raises(ValueError):
-            render_tables(bundle, "html")
-
     def test_rendering_is_deterministic(self, bundle, table1_frames, table1_models):
         again = ReportBundle(
             {t: (table1_frames[t], table1_models[t]) for t in TRANSITION_LABELS}
@@ -229,11 +225,6 @@ class TestFigureData:
 
     def test_bundled_table_matches_oracle(self, table1_frames):
         assert export_figure_data(table1_frames) == export_figure_data_oracle(table1_frames)
-
-    def test_missing_period(self, table1_frames):
-        partial = {TRANSITION_LABELS[0]: table1_frames[TRANSITION_LABELS[0]]}
-        with pytest.raises(IncompleteBundle):
-            export_figure_data(partial)
 
 
 def bundled_document(bundle, table1_text):
