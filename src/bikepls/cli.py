@@ -185,9 +185,11 @@ def cmd_derive(cfg: RunConfig, out_dir: Path, as_json: bool) -> int:
 
     from . import catchment, frames, ingest
 
-    schedule = frames.PeriodSchedule.from_json(
-        _read(_require(cfg.schedule, "schedule"), "schedule")
-    )
+    schedule_path = _require(cfg.schedule, "schedule")
+    try:
+        schedule = frames.PeriodSchedule.from_json(_read(schedule_path, "schedule"))
+    except ValueError as exc:
+        raise ValueError(f"{schedule_path}: {exc}") from None
     stations = catchment.load_stations_csv(_read(_require(cfg.stations, "stations"), "stations"))
     polygons = catchment.load_county_polygons(_read(_require(cfg.counties, "counties"), "counties"))
     schema = ingest.AcsSchema.bundled()

@@ -158,13 +158,24 @@ class PeriodSchedule:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Mapping[str, str]]) -> "PeriodSchedule":
         """Build from ``{label: {"start": iso-date, "end": iso-date}}``, whose
-        labels are exactly ``PERIOD_LABELS``, in any order."""
+        labels are exactly ``PERIOD_LABELS``, in any order. Anything else is
+        a ``ValueError`` that names the period at fault."""
+        if not isinstance(mapping, Mapping):
+            raise ValueError(f"schedule must be an object naming the periods "
+                             f"{list(PERIOD_LABELS)}, got {mapping!r}")
         if set(mapping) != set(PERIOD_LABELS):
             raise ValueError(f"schedule must name exactly the periods {list(PERIOD_LABELS)}, "
                              f"got {list(mapping)}")
-        return cls(tuple((label, dt.date.fromisoformat(mapping[label]["start"]),
-                          dt.date.fromisoformat(mapping[label]["end"]))
-                         for label in PERIOD_LABELS))
+        periods = []
+        for label in PERIOD_LABELS:
+            window = mapping[label]
+            try:
+                periods.append((label, dt.date.fromisoformat(window["start"]),
+                                dt.date.fromisoformat(window["end"])))
+            except (TypeError, KeyError, ValueError):
+                raise ValueError(f"period {label!r} needs a start and an end date "
+                                 f"(YYYY-MM-DD), got {window!r}") from None
+        return cls(tuple(periods))
 
     @classmethod
     def from_json(cls, text: str) -> "PeriodSchedule":

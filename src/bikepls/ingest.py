@@ -7,6 +7,7 @@ pipeline (and test suite) runs offline against recorded fixtures.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import hashlib
@@ -14,7 +15,9 @@ import io
 import itertools
 import json
 import os
+import re
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -91,44 +94,118 @@ class FixtureTransport:
         return body.read_bytes() if isinstance(body, Path) else body
 
 
-class ResponseCache:
-    """Verbatim response store: one file per key, named by the key's
-    sha256. Its first line is the body's sha256 in hex; the body follows.
+_PACK_NAME = re.compile(r"([0-9]+)-[0-9]+-[0-9]+\.pack")
 
-    An entry is written to a temp file and renamed into place, so a reader
-    sees a whole entry or none. Staleness is the caller's policy; the cache
-    only guarantees integrity (a failed checksum surfaces as ``CacheCorrupt``).
+
+class ResponseCache:
+    """Verbatim response store, keyed by request URL and kept in packs.
+
+    A pack is one file, ``<time_ns>-<pid>-<thread>.pack``: a line with its
+    entry count, one index line per entry (``<key sha256> <body sha256>
+    <length>``), then the bodies in index order. It is written to a
+    ``.tmp`` file and renamed into place, so a reader in any thread or
+    process sees a whole pack or none, and takes no lock. A later pack
+    shadows an earlier one for the same key.
+
+    The cache reads every pack's index when it is made, and a body only
+    when it is loaded; after that it sees its own stores, not packs that
+    other processes write. No other file is read: not a ``.tmp`` file, nor
+    the older layouts' one file per entry. Staleness is the caller's policy;
+    the cache only guarantees integrity (a body that fails its checksum
+    surfaces as ``CacheCorrupt``).
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # Key sha256 -> (pack, offset, length, body sha256), from the newest pack.
+        self._entries: dict[str, tuple[str, int, int, str]] = {}
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        matches = map(_PACK_NAME.fullmatch, os.listdir(self.directory))
+        packs = sorted((int(match[1]), match[0]) for match in matches if match)
+        for _, name in packs:
+            self._read_index(self.directory / name)
+        # A pack written here sorts after every pack read.
+        self._newest = packs[-1][0] if packs else 0
 
-    def _path(self, key: str) -> Path:
-        return self.directory / hashlib.sha256(key.encode("utf-8")).hexdigest()
+    def _read_index(self, path: Path) -> None:
+        """Index the entries of one pack; a pack whose index does not parse,
+        or gives a body longer than the pack, serves nothing."""
+        entries = []
+        try:
+            with open(path, "rb") as f:
+                size = os.fstat(f.fileno()).st_size
+                for _ in range(int(f.readline())):
+                    key, checksum, length = f.readline().split()
+                    if not length.isdigit() or int(length) > size:
+                        raise ValueError(f"bad length {length!r}")
+                    entries.append((key.decode(), checksum.decode(), int(length)))
+                offset = f.tell()
+        except (OSError, ValueError):
+            return
+        for key, checksum, length in entries:
+            self._entries[key] = (str(path), offset, length, checksum)
+            offset += length
 
     def load(self, key: str) -> bytes | None:
         """Return cached bytes, None on miss, ``CacheCorrupt`` on damage."""
+        entry = self._entries.get(hashlib.sha256(key.encode("utf-8")).hexdigest())
+        if entry is None:
+            return None
+        path, offset, length, checksum = entry
         try:
-            entry = self._path(key).read_bytes()
+            with open(path, "rb", buffering=0) as f:
+                f.seek(offset)
+                body = f.read(length)
         except FileNotFoundError:
             return None
-        checksum, newline, body = entry.partition(b"\n")
-        if not newline or checksum != hashlib.sha256(body).hexdigest().encode():
+        if hashlib.sha256(body).hexdigest() != checksum:
             raise CacheCorrupt(f"checksum mismatch for cache key {key!r}")
         return body
 
     def store(self, key: str, body: bytes) -> None:
-        path = self._path(key)
-        # A name no other thread or process writes to at the same time.
-        temp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-        with open(temp, "wb") as f:
-            f.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
-        os.replace(temp, path)
+        """Keep ``body`` under ``key``: in this thread's open ``batch``, or
+        else at once, as a pack of one entry."""
+        batch = getattr(self._local, "batch", None)
+        if batch is None:
+            self._write_pack([(key, body)])
+        else:
+            batch.append((key, body))
 
-    def evict(self, key: str) -> None:
-        self._path(key).unlink(missing_ok=True)
-        Path(f"{self._path(key)}.meta.json").unlink(missing_ok=True)  # the old layout's sidecar
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Hold this thread's stores and write them as one pack when the
+        block ends, also when it ends by an exception."""
+        self._local.batch = entries = []
+        try:
+            yield
+        finally:
+            self._local.batch = None
+            if entries:
+                self._write_pack(entries)
+
+    def _write_pack(self, entries: list[tuple[str, bytes]]) -> None:
+        index = [(hashlib.sha256(key.encode("utf-8")).hexdigest(),
+                  hashlib.sha256(body).hexdigest(), body) for key, body in entries]
+        header = b"%d\n" % len(index) + b"".join(
+            [b"%s %s %d\n" % (key.encode(), checksum.encode(), len(body))
+             for key, checksum, body in index])
+        # One writer at a time, so that this cache's entries come from the
+        # pack that sorts last, as they would for a cache made afterwards.
+        with self._lock:
+            stamp = self._newest = max(time.time_ns(), self._newest + 1)
+            # A name no other thread or process writes to.
+            path = self.directory / f"{stamp}-{os.getpid()}-{threading.get_ident()}.pack"
+            temp = path.with_name(path.name + ".tmp")
+            with open(temp, "wb") as f:
+                f.write(header)
+                f.writelines(body for _, _, body in index)
+            os.replace(temp, path)
+            offset = len(header)
+            for key, checksum, body in index:
+                self._entries[key] = (str(path), offset, len(body), checksum)
+                offset += len(body)
 
 
 # Bytes (or records, where the text needs the csv module) of a counts file
@@ -458,41 +535,6 @@ def counts_to_csv_text(parts: Iterable[Counts]) -> str:
     return "".join(texts)
 
 
-def fetch_counts(
-    config: SourceConfig,
-    station_id: str,
-    start: dt.date,
-    end: dt.date,
-    transport: Transport,
-    cache: ResponseCache | None = None,
-) -> Counts:
-    """Fetch (or replay) the counts for one station over a date range.
-
-    A warm cache entry for the request URL is served with no transport
-    call; a corrupt entry is evicted and refetched. Live responses are
-    stored verbatim before parsing, so parsing is deterministic from bytes.
-    """
-    if start > end:
-        raise ValueError("range start is after range end")
-    cache = cache or ResponseCache(config.cache_dir)
-    # Keyed on the request itself, so that another source's bytes are never served.
-    url = config.counts_url_template.format(
-        station=station_id, start=start.isoformat(), end=end.isoformat()
-    )
-    try:
-        body = cache.load(url)
-    except CacheCorrupt:
-        cache.evict(url)
-        body = None
-    if body is None:
-        body = _get_with_retries(transport, url, config.retries)
-        cache.store(url, body)
-    counts = parse_counts_csv(body)
-    if station_id not in counts.station_ids:
-        raise ParseError(f"response contains no rows for station {station_id!r}")
-    return counts.only(station_id)
-
-
 def _get_with_retries(transport: Transport, url: str, retries: int) -> bytes:
     last: Exception | None = None
     for _ in range(retries + 1):
@@ -511,18 +553,50 @@ def fetch_many(
     transport: Transport,
     cache: ResponseCache | None = None,
 ) -> dict[str, Counts]:
-    """Fetch several stations with bounded parallelism."""
+    """Fetch (or replay) the counts of each station over a date range.
+
+    A warm cache entry for the request URL is served with no transport
+    call; a corrupt one is fetched again. Only the transport calls run on
+    a pool of at most ``config.parallelism`` threads. The responses they
+    return are stored verbatim, as one pack, before any is parsed, so
+    parsing is deterministic from bytes; they are stored even when another
+    station's call fails, whose error is then raised. A response that does
+    not parse, or holds no rows for its station, is a ``ParseError`` that
+    names its URL.
+    """
+    if start > end:
+        raise ValueError("range start is after range end")
     cache = cache or ResponseCache(config.cache_dir)
+    # Keyed on the request itself, so that another source's bytes are never served.
+    urls = {station: config.counts_url_template.format(
+        station=station, start=start.isoformat(), end=end.isoformat()) for station in station_ids}
+    bodies: dict[str, bytes | None] = {}
+    for station, url in urls.items():
+        try:
+            bodies[station] = cache.load(url)
+        except CacheCorrupt:
+            bodies[station] = None
+    missing = [station for station, body in bodies.items() if body is None]
+    if missing:
+        with cache.batch(), ThreadPoolExecutor(min(config.parallelism, len(missing))) as pool:
+            futures = [pool.submit(_get_with_retries, transport, urls[station], config.retries)
+                       for station in missing]
+            for station, future in zip(missing, futures):
+                if future.exception() is None:
+                    bodies[station] = future.result()
+                    cache.store(urls[station], bodies[station])
+            for future in futures:
+                if future.exception() is not None:
+                    raise future.exception()
     results: dict[str, Counts] = {}
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        futures = {
-            station: pool.submit(
-                fetch_counts, config, station, start, end, transport, cache
-            )
-            for station in station_ids
-        }
-        for station, future in futures.items():
-            results[station] = future.result()
+    for station, url in urls.items():
+        try:
+            counts = parse_counts_csv(bodies.pop(station))
+            if station not in counts.station_ids:
+                raise ParseError(f"response contains no rows for station {station!r}")
+        except ParseError as exc:
+            raise ParseError(f"{url}: {exc}") from None
+        results[station] = counts.only(station)
     return results
 
 

@@ -70,3 +70,24 @@ def demo_config(tmp_path) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def pack_index(path) -> list[tuple[str, str, int, int]]:
+    """The entries of a response-cache pack, read as its layout states: a
+    count line, one ``<key sha256> <body sha256> <length>`` line per entry,
+    then the bodies in index order. Each entry is (key sha256, body sha256,
+    offset, length)."""
+    lines = path.read_bytes().split(b"\n")
+    count = int(lines[0])
+    offset = sum(len(line) + 1 for line in lines[:count + 1])
+    entries = []
+    for line in lines[1:count + 1]:
+        key, checksum, length = line.decode().split(" ")
+        entries.append((key, checksum, offset, int(length)))
+        offset += int(length)
+    return entries
+
+
+def packs(directory) -> list:
+    """The pack files of a response-cache directory, oldest first."""
+    return sorted(directory.glob("*.pack"), key=lambda p: int(p.name.split("-")[0]))

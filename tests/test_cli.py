@@ -23,10 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikepls import ingest
+from bikepls import frames, ingest
 from bikepls.cli import main
 from bikepls.frames import ANALYSIS_TABLE_HEADER, TRANSITION_LABELS, load_analysis_table
-from conftest import FIXTURES, REPO_ROOT
+from conftest import FIXTURES, REPO_ROOT, pack_index, packs
 
 
 def run_cli(*args):
@@ -325,6 +325,9 @@ def _edit_model(field, edit):
     return apply
 
 
+CHERRY_URL = "https://counts.example/api?station=st_cherry&start=2020-01-01&end=2020-12-31"
+
+
 class TestRefusedInputs:
     """Each input file a command reads, and each setting, is refused by
     name (exit 2) before anything is written."""
@@ -336,24 +339,28 @@ class TestRefusedInputs:
         return code, capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda s: s["Pre-Pandemic"].update(start="2020-03-15", end="2020-01-01"),
+        (lambda s: s["Pre-Pandemic"].update(start="2020-03-15", end="2020-01-01") or s,
          "period 'Pre-Pandemic' has start after end"),
-        (lambda s: s["Pandemic"].update(start="2020-03-10"),
+        (lambda s: s["Pandemic"].update(start="2020-03-10") or s,
          "period 'Pandemic' overlaps the previous period"),
-        (lambda s: s.pop("Normalization"),
+        (lambda s: {label: window for label, window in s.items() if label != "Normalization"},
          f"schedule must name exactly the periods {PERIODS}, "
          "got ['Pre-Pandemic', 'Pandemic', 'Transition']"),
-        (lambda s: s.update(Recovery={"start": "2021-01-01", "end": "2021-03-01"}),
+        (lambda s: s.update(Recovery={"start": "2021-01-01", "end": "2021-03-01"}) or s,
          f"schedule must name exactly the periods {PERIODS}, "
          "got ['Pre-Pandemic', 'Pandemic', 'Transition', 'Normalization', 'Recovery']"),
-    ], ids=["start-after-end", "overlap", "missing-label", "extra-label"])
+        (lambda s: 5, f"schedule must be an object naming the periods {PERIODS}, got 5"),
+        (lambda s: s["Transition"].pop("end") and s,
+         "period 'Transition' needs a start and an end date (YYYY-MM-DD), "
+         "got {'start': '2020-06-01'}"),
+    ], ids=["start-after-end", "overlap", "missing-label", "extra-label", "not-an-object",
+            "window-without-end"])
     def test_schedule(self, demo_config, tmp_path, capsys, edit, message):
-        schedule = json.loads((FIXTURES / "schedule.json").read_text())
-        edit(schedule)
+        schedule = edit(json.loads((FIXTURES / "schedule.json").read_text()))
         path = tmp_path / "schedule.json"
         path.write_text(json.dumps(schedule))
         assert self.refused(capsys, tmp_path / "out", "--config", str(demo_config), "derive",
-                            "--schedule", str(path)) == (2, f"error: {message}\n")
+                            "--schedule", str(path)) == (2, f"error: {path}: {message}\n")
 
     @pytest.mark.parametrize("text, message", [
         ("{stations}\nst_far,91.0,-105.0,Far\n",
@@ -440,7 +447,18 @@ class TestRefusedInputs:
         assert self.refused(capsys, tmp_path / "out", "--config", str(demo_config), "fetch",
                             "--cache-dir", str(tmp_path / "cache"), "--fixtures",
                             str(responses)) == \
-            (2, "error: response contains no rows for station 'st_cherry'\n")
+            (2, f"error: {CHERRY_URL}: response contains no rows for station 'st_cherry'\n")
+
+    def test_bad_response_names_its_url(self, demo_config, tmp_path, capsys):
+        responses = tmp_path / "responses"
+        shutil.copytree(FIXTURES / "responses", responses)
+        lines = (responses / "st_cherry_2020.csv").read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",-5\n"
+        (responses / "st_cherry_2020.csv").write_text("".join(lines))
+        assert self.refused(capsys, tmp_path / "out", "--config", str(demo_config), "fetch",
+                            "--cache-dir", str(tmp_path / "cache"), "--fixtures",
+                            str(responses)) == \
+            (2, f"error: {CHERRY_URL}: line 3: bad count '-5'\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: {"format": "bikepls-model", "version": doc["version"]},
@@ -741,18 +759,45 @@ class TestFetch:
             return (out / "counts.csv").read_bytes()
 
         cold = fetch("cold")
-        bodies = sorted(cache.iterdir())
-        stored = {p: p.read_bytes() for p in bodies}
+        [pack] = packs(cache)
+        stored = pack.read_bytes()
         # with no recorded response, any transport call fails
         (responses / "manifest.json").write_text("{}")
         assert fetch("warm") == cold
-        # a damaged body fails its checksum, is evicted and fetched again
-        damaged = bytearray(stored[bodies[0]])
-        damaged[30] ^= 1
-        bodies[0].write_bytes(bytes(damaged))
+        # a damaged body fails its checksum and is fetched again into a
+        # newer pack, which shadows it; the damaged pack is left as it is
+        first_body = pack_index(pack)[0][2]
+        damaged = bytearray(stored)
+        damaged[first_body + 30] ^= 1
+        pack.write_bytes(bytes(damaged))
         (responses / "manifest.json").write_text(manifest)
         assert fetch("refetched") == cold
-        assert {p: p.read_bytes() for p in bodies} == stored
+        old, new = packs(cache)
+        assert old == pack and old.read_bytes() == bytes(damaged)
+        assert [entry[:2] for entry in pack_index(new)] == [pack_index(pack)[0][:2]]
+        (responses / "manifest.json").write_text("{}")
+        assert fetch("shadowed") == cold
+
+    def test_two_cold_processes_share_one_cache(self, tmp_path):
+        args, _ = write_fetch_region(tmp_path, random.Random(99), 40)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        cache = tmp_path / "cache"
+        processes = [subprocess.Popen(
+            [sys.executable, "-m", "bikepls.cli", "--output-dir", str(tmp_path / f"cold{k}"),
+             "fetch", *args, "--cache-dir", str(cache)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) for k in range(2)]
+        errors = [process.communicate(timeout=120)[1] for process in processes]
+        assert [process.returncode for process in processes] == [0, 0], errors
+        cold = (tmp_path / "cold0/counts.csv").read_bytes()
+        assert (tmp_path / "cold1/counts.csv").read_bytes() == cold
+        # with no response file left, any transport call fails
+        for path in (tmp_path / "responses").glob("*.csv"):
+            path.unlink()
+        assert run_cli("--output-dir", str(tmp_path / "warm"), "fetch", *args,
+                       "--cache-dir", str(cache)) == 0
+        assert (tmp_path / "warm/counts.csv").read_bytes() == cold
 
     def test_warm_pass_opens_no_response_file(self, demo_config, tmp_path, capsys):
         responses = tmp_path / "responses"
@@ -1325,3 +1370,92 @@ class TestDeriveChain:
         failed = [row[0] for row in csv.reader(io.StringIO(errors))][1:]
         assert sorted([*ids, *failed]) == sorted(stations)
         assert out["exit"] == (2 if failed else 0)
+
+
+FETCH_TEMPLATE = "https://counts.example/api?station={station}&start={start}&end={end}"
+
+
+def fetch_response(rng: random.Random, station: str, others: list[str]) -> bytes:
+    """A counts response for ``station``, varied as a live source's may be:
+    its rows in any order, maybe rows of other stations, maybe every
+    station cell quoted (the ``csv.reader`` path), maybe ``\\r\\n`` line
+    ends, maybe no final line end."""
+    quoted, crlf = rng.random() < 0.3, rng.random() < 0.3
+    rows = [(station, day) for day in rng.sample(range(366), rng.randint(1, 12))]
+    if rng.random() < 0.4:
+        rows += [(other, day) for other in rng.sample(others, min(len(others), 2))
+                 for day in rng.sample(range(366), rng.randint(1, 3))]
+    rng.shuffle(rows)
+    first = dt.date(2020, 1, 1).toordinal()
+    lines = ["station_id,date,count"]
+    for sid, day in rows:
+        cell = '"' + sid.replace('"', '""') + '"' if quoted or "," in sid else sid
+        count = rng.choice(["0", "7", "007", str(rng.randrange(10**6)), "999999999999999"])
+        lines.append(f"{cell},{dt.date.fromordinal(first + day)},{count}")
+    end = "\r\n" if crlf else "\n"
+    return (end.join(lines) + (end if rng.random() < 0.8 else "")).encode()
+
+
+def write_fetch_region(directory: Path, rng: random.Random,
+                       n: int) -> tuple[list[str], dict[str, bytes]]:
+    """A stations file and the fixture responses of ``n`` stations under
+    ``directory``; returns the ``fetch`` arguments that read them and each
+    station's response."""
+    ids = [f"s{k}" if rng.random() < 0.8 else f"s{k},x" for k in rng.sample(range(1000), n)]
+    stations = directory / "stations.csv"
+    stations.write_text("station_id,latitude,longitude,name\n" + "".join(
+        f"{frames._csv_field(sid)},39.7,-105.0,x\n" for sid in ids))
+    responses = directory / "responses"
+    responses.mkdir()
+    manifest, bodies = {}, {}
+    for k, sid in enumerate(ids):
+        url = FETCH_TEMPLATE.format(station=sid, start="2020-01-01", end="2020-12-31")
+        manifest[url] = f"r{k}.csv"
+        bodies[sid] = fetch_response(rng, sid, [s for s in ids if s != sid] + ["other"])
+        (responses / f"r{k}.csv").write_bytes(bodies[sid])
+    (responses / "manifest.json").write_text(json.dumps(manifest))
+    return ["--stations", str(stations), "--fixtures", str(responses),
+            "--counts-url-template", FETCH_TEMPLATE, "--start", "2020-01-01",
+            "--end", "2020-12-31", "--transport", "fixtures"], bodies
+
+
+class TestFetchRelations:
+    """Fetching cold, warm and with one thread writes the counts.csv that
+    parsing each response on its own does."""
+
+    SEEDS = range(8)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cold_warm_serial_and_oracle_agree(self, tmp_path, seed):
+        rng = random.Random(seed)
+        args, bodies = write_fetch_region(tmp_path, rng, rng.randint(1, 40))
+        oracle = ingest.counts_to_csv_text(
+            ingest.parse_counts_csv(bodies[sid]).only(sid) for sid in sorted(bodies)).encode()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "manifest.json").write_text("{}")
+
+        def fetch(name, *extra):
+            out = tmp_path / name
+            assert run_cli("--output-dir", str(out), "fetch", *args, *extra) == 0
+            return (out / "counts.csv").read_bytes()
+
+        cold = fetch("cold", "--cache-dir", str(tmp_path / "cache"))
+        # the warm run has no recorded response, so any transport call fails
+        warm = fetch("warm", "--cache-dir", str(tmp_path / "cache"), "--fixtures", str(empty))
+        serial = fetch("serial", "--cache-dir", str(tmp_path / "cache-serial"),
+                       "--parallelism", "1")
+        assert cold == warm == serial == oracle
+
+    def test_regions_exercise_every_kind_of_response(self, tmp_path):
+        kinds = set()
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            (tmp_path / str(seed)).mkdir()
+            _, bodies = write_fetch_region(tmp_path / str(seed), rng, rng.randint(1, 40))
+            for sid, body in bodies.items():
+                kinds.add("csv-reader" if b'"' in body else "bytes")
+                kinds.add("crlf" if b"\r\n" in body else "lf")
+                if len(ingest.parse_counts_csv(body).station_ids) > 1:
+                    kinds.add("other-stations")
+        assert kinds == {"csv-reader", "bytes", "crlf", "lf", "other-stations"}

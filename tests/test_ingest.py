@@ -35,13 +35,13 @@ from bikepls.ingest import (
     ResponseCache,
     SourceConfig,
     census_profiles,
-    fetch_counts,
     fetch_many,
     fixture_transport_from_dir,
     load_acs_table_csv,
     load_population_csv,
     parse_counts_csv,
 )
+from conftest import pack_index, packs
 
 
 class RecordingTransport:
@@ -494,18 +494,22 @@ def _fixture_transport():
     return RecordingTransport(FixtureTransport({url: COUNTS}))
 
 
+def fetch_one(config, station, transport, cache=None):
+    return fetch_many(config, [station], *RANGE, transport, cache)[station]
+
+
 class TestFetchCounts:
     def test_parses_fixture_response(self, tmp_path):
         transport = _fixture_transport()
-        series = fetch_counts(_config(tmp_path), "A", *RANGE, transport)
+        series = fetch_one(_config(tmp_path), "A", transport)
         assert len(series) == 2
         assert transport.call_count == 1
 
     def test_second_call_served_from_cache(self, tmp_path):
         transport = _fixture_transport()
         config = _config(tmp_path)
-        first = fetch_counts(config, "A", *RANGE, transport)
-        second = fetch_counts(config, "A", *RANGE, transport)
+        first = fetch_one(config, "A", transport)
+        second = fetch_one(config, "A", transport)
         assert transport.call_count == 1
         assert as_series(first) == as_series(second)
 
@@ -513,12 +517,12 @@ class TestFetchCounts:
         transport = _fixture_transport()
         config = _config(tmp_path)
         cache = ResponseCache(config.cache_dir)
-        fetch_counts(config, "A", *RANGE, transport, cache)
-        # damage the stored body, keeping its checksum line
-        entries = list(cache.directory.iterdir())
-        assert len(entries) == 1
-        entries[0].write_bytes(entries[0].read_bytes()[:65] + b"garbage")
-        series = fetch_counts(config, "A", *RANGE, transport, cache)
+        fetch_one(config, "A", transport, cache)
+        # damage the stored body, keeping its index line
+        packs = list(cache.directory.iterdir())
+        assert len(packs) == 1
+        packs[0].write_bytes(packs[0].read_bytes()[:-7] + b"garbage")
+        series = fetch_one(config, "A", transport, cache)
         assert transport.call_count == 2
         assert len(series) == 2
 
@@ -529,14 +533,14 @@ class TestFetchCounts:
                              cache_dir=config.cache_dir)
         url = other.counts_url_template.format(station="A", start=RANGE[0], end=RANGE[1])
         body = b"station_id,date,count\nA,2020-01-09,11\n"
-        fetch_counts(config, "A", *RANGE, _fixture_transport())
-        series = fetch_counts(other, "A", *RANGE, FixtureTransport({url: body}))
+        fetch_one(config, "A", _fixture_transport())
+        series = fetch_one(other, "A", FixtureTransport({url: body}))
         assert as_series(series) == {"A": ((dt.date(2020, 1, 9), 11),)}
 
     def test_warm_cache_equals_cold_plus_live(self, tmp_path):
         config = _config(tmp_path)
-        cold = fetch_counts(config, "A", *RANGE, _fixture_transport())
-        warm = fetch_counts(config, "A", *RANGE, _fixture_transport())
+        cold = fetch_one(config, "A", _fixture_transport())
+        warm = fetch_one(config, "A", _fixture_transport())
         assert as_series(cold) == as_series(warm)
         assert as_series(cold) == {"A": parse_counts_oracle(COUNTS)["A"]}
 
@@ -552,18 +556,19 @@ class TestFetchCounts:
         transport = FailingTransport()
         config = _config(tmp_path, retries=2)
         with pytest.raises(NetworkError, match="after 3 attempts"):
-            fetch_counts(config, "A", *RANGE, transport)
+            fetch_one(config, "A", transport)
         assert transport.calls == 3
 
     def test_missing_station_in_response(self, tmp_path):
         url = URL_TEMPLATE.format(station="Z", start=RANGE[0], end=RANGE[1])
         transport = FixtureTransport({url: COUNTS})
-        with pytest.raises(ParseError, match="no rows for station"):
-            fetch_counts(_config(tmp_path), "Z", *RANGE, transport)
+        with pytest.raises(ParseError, match=f"^{re.escape(url)}: response contains no rows "
+                                             "for station 'Z'$"):
+            fetch_one(_config(tmp_path), "Z", transport)
 
     def test_inverted_range(self, tmp_path):
         with pytest.raises(ValueError):
-            fetch_counts(_config(tmp_path), "A", RANGE[1], RANGE[0], _fixture_transport())
+            fetch_many(_config(tmp_path), ["A"], RANGE[1], RANGE[0], _fixture_transport())
 
     def test_fetch_many_bounded_parallelism(self, tmp_path):
         responses = {}
@@ -577,6 +582,13 @@ class TestFetchCounts:
         series = fetch_many(config, ["A", "B", "C", "D", "E"], *RANGE, transport)
         assert set(series) == {"A", "B", "C", "D", "E"}
         assert transport.call_count == 5
+
+    def test_warm_fetch_starts_no_thread(self, tmp_path):
+        config = _config(tmp_path)
+        fetch_one(config, "A", _fixture_transport())
+        with mock.patch.object(ingest, "ThreadPoolExecutor") as pool:
+            fetch_one(config, "A", _fixture_transport())
+        pool.assert_not_called()
 
     def test_fixture_transport_from_dir(self, tmp_path):
         (tmp_path / "resp.csv").write_bytes(COUNTS)
@@ -596,63 +608,127 @@ class TestFetchCounts:
 URL = URL_TEMPLATE.format(station="A", start=RANGE[0], end=RANGE[1])
 
 
-def entry_path(cache: ResponseCache, key: str):
-    return cache.directory / hashlib.sha256(key.encode()).hexdigest()
+def key_hash(key: str) -> str:
+    return hashlib.sha256(key.encode()).hexdigest()
+
+
+def pack_bytes(entries: list[tuple[str, bytes]]) -> bytes:
+    return b"".join([b"%d\n" % len(entries)] + [
+        f"{key_hash(key)} {hashlib.sha256(body).hexdigest()} {len(body)}\n".encode()
+        for key, body in entries] + [body for _, body in entries])
+
+
+def three_station_transport():
+    return RecordingTransport(FixtureTransport({
+        URL_TEMPLATE.format(station=station, start=RANGE[0], end=RANGE[1]):
+            COUNTS if station == "A" else
+            f"station_id,date,count\n{station},2020-01-05,4\n".encode()
+        for station in ("A", "B", "C")}))
 
 
 class TestResponseCache:
-    def test_entry_is_checksum_line_then_body(self, tmp_path):
+    def test_pack_is_index_then_bodies(self, tmp_path):
         cache = ResponseCache(tmp_path)
         cache.store(URL, COUNTS)
-        assert [p.name for p in tmp_path.iterdir()] == [entry_path(cache, URL).name]
-        assert entry_path(cache, URL).read_bytes() == \
-            hashlib.sha256(COUNTS).hexdigest().encode() + b"\n" + COUNTS
+        [path] = tmp_path.iterdir()
+        assert re.fullmatch(r"[0-9]+-[0-9]+-[0-9]+\.pack", path.name)
+        assert path.read_bytes() == pack_bytes([(URL, COUNTS)])
         assert cache.load(URL) == COUNTS
         assert cache.load(URL + "&other") is None
+        assert ResponseCache(tmp_path).load(URL) == COUNTS
 
-    def test_old_layout_entry_refetched(self, tmp_path):
-        # a body file plus a checksum sidecar, as the cache once stored them
+    def test_batch_is_one_pack_and_a_later_pack_shadows(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        other = b"station_id,date,count\nA,2020-01-09,11\n"
+        with cache.batch():
+            cache.store(URL, other)
+            cache.store(URL + "&b", COUNTS)
+            assert list(tmp_path.iterdir()) == []
+        [first] = packs(tmp_path)
+        assert first.read_bytes() == pack_bytes([(URL, other), (URL + "&b", COUNTS)])
+        cache.store(URL, COUNTS)
+        assert [p.name for p in packs(tmp_path)][0] == first.name
+        for reader in (cache, ResponseCache(tmp_path)):
+            assert reader.load(URL) == COUNTS
+            assert reader.load(URL + "&b") == COUNTS
+
+    @pytest.mark.parametrize("layout", ["checksum-line", "sidecar"])
+    def test_old_layout_entry_refetched(self, tmp_path, layout):
+        # one file per entry, named by the key's sha256, as the cache once
+        # stored them: a checksum line then the body, or a body file plus
+        # a checksum sidecar
         config = _config(tmp_path)
-        cache = ResponseCache(config.cache_dir)
+        directory = tmp_path / "cache"
+        directory.mkdir()
         old_body = COUNTS.replace(b"5", b"6")
-        entry_path(cache, URL).write_bytes(old_body)
-        entry_path(cache, URL).with_suffix(".meta.json").write_text(json.dumps(
-            {"key": URL, "sha256": hashlib.sha256(old_body).hexdigest(),
-             "fetched_at": "2021-01-01T00:00:00+00:00"}))
-        with pytest.raises(CacheCorrupt):
-            cache.load(URL)
+        old_checksum = hashlib.sha256(old_body).hexdigest()
+        entry = directory / key_hash(URL)
+        if layout == "checksum-line":
+            entry.write_bytes(old_checksum.encode() + b"\n" + old_body)
+        else:
+            entry.write_bytes(old_body)
+            entry.with_suffix(".meta.json").write_text(json.dumps(
+                {"key": URL, "sha256": old_checksum,
+                 "fetched_at": "2021-01-01T00:00:00+00:00"}))
+        old_files = {p.name: p.read_bytes() for p in directory.iterdir()}
+        assert ResponseCache(directory).load(URL) is None
         transport = _fixture_transport()
-        series = fetch_counts(config, "A", *RANGE, transport, cache)
+        series = fetch_one(config, "A", transport)
         assert transport.call_count == 1
         assert as_series(series) == {"A": parse_counts_oracle(COUNTS)["A"]}
-        assert cache.load(URL) == COUNTS
-        # the stale sidecar went with the old body
-        assert [p.name for p in cache.directory.iterdir()] == [entry_path(cache, URL).name]
+        assert ResponseCache(directory).load(URL) == COUNTS
+        # the old files are left as they were, and never read
+        assert {p.name: p.read_bytes() for p in directory.iterdir()
+                if not p.name.endswith(".pack")} == old_files
 
     @pytest.mark.parametrize("damage", [
-        lambda entry: entry.replace(b"\n", b""),  # no newline
-        lambda entry: entry[:64],  # the checksum alone
-        lambda entry: entry[:65],  # the checksum line alone
-        lambda entry: entry[:-1],  # cut short by one byte
-        lambda entry: entry + b"A,2020-01-03,1\n",  # longer than its checksum
-    ])
+        lambda body: body.replace(b"\n", b""),  # no newline
+        lambda body: b"",  # the body gone
+        lambda body: body[:body.index(b"\n") + 1],  # the header line alone
+        lambda body: body[:-1],  # cut short by one byte
+        lambda body: body.replace(b"\n", b"\nA,2020-01-03,1\n", 1),  # a row put in
+    ], ids=["no-newline", "gone", "header-alone", "one-byte-short", "row-put-in"])
     def test_damaged_entry_is_corrupt_and_refetched(self, tmp_path, damage):
+        # A's body is the pack's last, so a damage that changes its length
+        # leaves the other bodies where the index puts them
         config = _config(tmp_path)
+        transport = three_station_transport()
+        fetch_many(config, ["B", "C", "A"], *RANGE, transport)
+        [pack] = packs(tmp_path / "cache")
+        *_, (key, _, offset, length) = pack_index(pack)
+        assert key == key_hash(URL)
+        data = pack.read_bytes()
+        assert data[offset:] == COUNTS
+        pack.write_bytes(data[:offset] + damage(COUNTS))
         cache = ResponseCache(config.cache_dir)
-        transport = _fixture_transport()
-        fetch_counts(config, "A", *RANGE, transport, cache)
-        path = entry_path(cache, URL)
-        entry = path.read_bytes()
-        path.write_bytes(damage(entry))
         with pytest.raises(CacheCorrupt):
             cache.load(URL)
-        series = fetch_counts(config, "A", *RANGE, transport, cache)
-        assert transport.call_count == 2
-        assert as_series(series) == {"A": parse_counts_oracle(COUNTS)["A"]}
-        assert path.read_bytes() == entry
+        assert [cache.load(URL_TEMPLATE.format(station=s, start=RANGE[0], end=RANGE[1]))
+                for s in "BC"] == [f"station_id,date,count\n{s},2020-01-05,4\n".encode()
+                                   for s in "BC"]
+        series = fetch_many(config, ["B", "C", "A"], *RANGE, transport, cache)
+        assert transport.call_count == 4
+        assert as_series(series["A"]) == {"A": parse_counts_oracle(COUNTS)["A"]}
+        # a newer pack of A alone shadows the damaged body, which stays
+        old, new = packs(tmp_path / "cache")
+        assert old == pack and old.read_bytes() == data[:offset] + damage(COUNTS)
+        assert new.read_bytes() == pack_bytes([(URL, COUNTS)])
+        assert ResponseCache(config.cache_dir).load(URL) == COUNTS
+
+    def test_damaged_index_serves_nothing(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.store(URL, COUNTS)
+        [pack] = packs(tmp_path)
+        data = pack.read_bytes()
+        for damaged in (b"x" + data, data[:10], b"2" + data[1:],
+                        data.replace(b" %d\n" % len(COUNTS), b" -1\n"),
+                        data.replace(b" %d\n" % len(COUNTS), b" %d\n" % 10**15)):
+            pack.write_bytes(damaged)
+            assert ResponseCache(tmp_path).load(URL) is None
 
     def test_concurrent_stores_leave_a_whole_entry(self, tmp_path):
         # eight writers of different bodies under one key, and one reader
+        # that reads through the writers' cache and through new ones
         cache = ResponseCache(tmp_path)
         bodies = [bytes([65 + k]) * (1 << 16) + b"\n" for k in range(8)]
         start = threading.Barrier(9, timeout=30)
@@ -667,10 +743,11 @@ class TestResponseCache:
         def read():
             start.wait()
             while not stop.is_set():
-                try:
-                    seen.append(cache.load(URL))
-                except CacheCorrupt as exc:
-                    seen.append(exc)
+                for reader in (cache, ResponseCache(tmp_path)):
+                    try:
+                        seen.append(reader.load(URL))
+                    except CacheCorrupt as exc:
+                        seen.append(exc)
 
         writers = [threading.Thread(target=write, args=(body,)) for body in bodies]
         reader = threading.Thread(target=read)
@@ -689,19 +766,20 @@ class TestResponseCache:
         assert not any(thread.is_alive() for thread in writers + [reader])
         assert seen and all(body is None or body in bodies for body in seen)
         assert cache.load(URL) in bodies
-        assert [p.name for p in tmp_path.iterdir()] == [entry_path(cache, URL).name]
+        assert ResponseCache(tmp_path).load(URL) in bodies
+        assert len(packs(tmp_path)) == 8 * 40 == len(list(tmp_path.iterdir()))
 
     def test_leftover_temp_file_never_served(self, tmp_path):
-        # a writer that stopped before its rename leaves a temp file behind
-        cache = ResponseCache(tmp_path)
+        # a writer that stopped before its rename leaves a whole temp file
         other = b"station_id,date,count\nA,2020-01-09,11\n"
-        temp = entry_path(cache, URL).with_name(entry_path(cache, URL).name + ".1-2.tmp")
-        temp.write_bytes(hashlib.sha256(other).hexdigest().encode() + b"\n" + other)
+        (tmp_path / "1-2-3.pack.tmp").write_bytes(pack_bytes([(URL, other)]))
+        cache = ResponseCache(tmp_path)
         assert cache.load(URL) is None
         cache.store(URL, COUNTS)
         assert cache.load(URL) == COUNTS
+        assert ResponseCache(tmp_path).load(URL) == COUNTS
 
-    def test_cold_fetch_leaves_one_file_per_station(self, tmp_path):
+    def test_cold_fetch_leaves_one_pack(self, tmp_path):
         stations = [f"S{k}" for k in range(7)]
         urls = {station: URL_TEMPLATE.format(station=station, start=RANGE[0], end=RANGE[1])
                 for station in stations}
@@ -710,9 +788,29 @@ class TestResponseCache:
             for station, url in urls.items()})
         config = _config(tmp_path, parallelism=3)
         fetch_many(config, stations, *RANGE, transport)
-        cache = ResponseCache(config.cache_dir)
-        assert sorted(p.name for p in cache.directory.iterdir()) == \
-            sorted(entry_path(cache, url).name for url in urls.values())
+        [pack] = list((tmp_path / "cache").iterdir())
+        assert pack.name.endswith(".pack")
+        assert [key for key, *_ in pack_index(pack)] == [key_hash(urls[s]) for s in stations]
+
+    def test_network_error_keeps_the_other_stations(self, tmp_path):
+        stations = ["A", "B", "C", "D", "E"]
+        urls = {station: URL_TEMPLATE.format(station=station, start=RANGE[0], end=RANGE[1])
+                for station in stations}
+        responses = {url: f"station_id,date,count\n{station},2020-01-05,4\n".encode()
+                     for station, url in urls.items()}
+        broken = dict(responses)
+        del broken[urls["B"]]
+        config = _config(tmp_path, parallelism=2, retries=0)
+        with pytest.raises(NetworkError, match=re.escape(urls["B"])):
+            fetch_many(config, stations, *RANGE, FixtureTransport(broken))
+        [pack] = packs(tmp_path / "cache")
+        assert sorted(key for key, *_ in pack_index(pack)) == \
+            sorted(key_hash(urls[s]) for s in "ACDE")
+        transport = RecordingTransport(FixtureTransport(responses))
+        series = fetch_many(config, stations, *RANGE, transport)
+        assert transport.requests == [urls["B"]]
+        assert {s: as_series(c) for s, c in series.items()} == \
+            {s: {s: ((dt.date(2020, 1, 5), 4),)} for s in stations}
 
 
 class TestSourceConfig:
